@@ -36,12 +36,7 @@ from repro.core.approxmc import approx_mc
 from repro.formulas.generators import random_k_cnf
 from repro.kernels import kernel_info, kernel_names
 from repro.kernels.autopick import WorkloadFingerprint, pick
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    available_workers,
-)
+from repro.parallel import available_workers, get_executor
 from repro.sat.solver import CdclSolver
 from repro.streaming.base import SketchParams
 
@@ -91,20 +86,12 @@ def _repetition_task(seed, shared):
     return tuple(verdicts), solver.stats.propagations
 
 
-def _make_executor(name):
-    if name == "serial":
-        return SerialExecutor()
-    if name == "thread":
-        return ThreadExecutor(GATE_WORKERS)
-    return ProcessExecutor(GATE_WORKERS)
-
-
 def _bench_repetitions(kernel, executor_name, tasks, rounds):
     formula = random_k_cnf(random.Random(17), PROP_VARS, PROP_CLAUSES, k=3)
     shared = (formula, kernel, rounds)
     _repetition_task(0, shared)  # Warm-up: JIT compiles off the clock.
     t0 = time.perf_counter()
-    executor = _make_executor(executor_name)
+    executor = get_executor(GATE_WORKERS, executor_name)
     try:
         outcomes = executor.map(_repetition_task, list(range(tasks)),
                                 shared=shared)
@@ -120,7 +107,7 @@ def _approxmc_parity(kernel):
     formula = random_k_cnf(random.Random(5), 24, 96, 3)
     results = {}
     for name in EXECUTORS:
-        executor = _make_executor(name)
+        executor = get_executor(GATE_WORKERS, name)
         try:
             r = approx_mc(formula, COUNT_PARAMS, random.Random(11),
                           kernel=kernel, executor=executor)

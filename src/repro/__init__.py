@@ -32,7 +32,6 @@ from repro.baselines import (
     karp_luby_optimal_stopping,
 )
 from repro.core import (
-    CountResult,
     approx_mc,
     approx_model_count_est,
     approx_model_count_min,
@@ -92,7 +91,6 @@ __all__ = [
     "BucketingF0",
     "CdclSolver",
     "CnfFormula",
-    "CountResult",
     "DnfFormula",
     "DnfSet",
     "DnfTerm",

@@ -8,9 +8,8 @@ Examples::
     python -m repro count formula.cnf --kernel numba
     python -m repro count formula.cnf --workers 4 --executor thread
     python -m repro sample formula.dnf --count 5
-    python -m repro backends
-    python -m repro kernels
-    python -m repro kernels --autopick
+    python -m repro list
+    python -m repro list --autopick
     python -m repro f0 items.txt --universe-bits 16 --sketch minimum
     python -m repro f0 items.txt --universe-bits 16 --workers 0
     python -m repro f0 items.txt --universe-bits 16 --window 3600
@@ -19,7 +18,6 @@ Examples::
     python -m repro serve --frontend asyncio --snapshot-on-exit exit.bin
     python -m repro serve --frontend multiproc --procs 4
     python -m repro serve --cluster http://h1:8081,http://h2:8082
-    python -m repro frontends
     python -m repro rebalance --from http://h1:8081,http://h2:8082 \
         --to http://h1:8081,http://h2:8082,http://h3:8083
     python -m repro push clicks items.txt --create --universe-bits 32
@@ -34,18 +32,18 @@ fans counter repetitions / stream chunks out over a worker pool
 ``--executor`` picks the pool backend (``serial``/``thread``/
 ``process``/``auto``; the ``REPRO_EXECUTOR`` environment variable sets
 the session default, and ``auto`` reads the kernel's GIL capability or
-a cached calibration -- see ``repro kernels --autopick``).
-``--oracle`` selects the NP-oracle solver backend from the registry
-(``python -m repro backends`` lists what is installed).  ``--kernel``
-selects the compute kernel driving the solver and hashing inner loops
-(``python -m repro kernels`` lists them, along with the executor
-backends and the current auto-pick decision; the ``REPRO_KERNEL``
-environment variable sets the session default).
+a cached calibration -- see ``repro list --autopick``).
+``--oracle`` selects the NP-oracle solver backend and ``--kernel`` the
+compute kernel driving the solver and hashing inner loops (the
+``REPRO_KERNEL`` environment variable sets the session default).
+``python -m repro list`` lists every registry -- oracle backends,
+kernels, executors, front ends -- with what is installed, what each
+name resolves to here, and the current auto-pick decision.
 
 ``serve`` runs the long-lived sketch service of :mod:`repro.service` --
-``--frontend`` picks the transport (``repro frontends`` lists them;
-``REPRO_FRONTEND``/``REPRO_PROCS`` set session defaults the same way
-``REPRO_KERNEL`` does), ``--frontend multiproc --procs N`` pre-forks N
+``--frontend`` picks the transport (``REPRO_FRONTEND``/``REPRO_PROCS``
+set session defaults the same way ``REPRO_KERNEL`` does),
+``--frontend multiproc --procs N`` pre-forks N
 shared-nothing workers on one port, ``--snapshot-on-exit`` makes
 SIGTERM/SIGINT shutdowns durable, ``--sweep-interval`` runs a periodic
 TTL sweep so expired sketches are shed without read traffic, and
@@ -69,6 +67,7 @@ import sys
 from typing import List, Optional, Sequence, Union
 
 from repro.baselines.karp_luby import karp_luby_count
+from repro.common.errors import ReproError
 from repro.core.approxmc import approx_mc
 from repro.core.est_count import approx_model_count_est
 from repro.core.exact import exact_model_count
@@ -77,24 +76,10 @@ from repro.core.sampling import sample_solutions
 from repro.formulas.cnf import CnfFormula
 from repro.formulas.dimacs import parse_dimacs_cnf, parse_dimacs_dnf
 from repro.formulas.dnf import DnfFormula
-from repro.kernels import (
-    DEFAULT_KERNEL,
-    has_kernel,
-    kernel_info,
-    kernel_names,
-    resolve_kernel_name,
-    set_default_kernel,
-)
-from repro.parallel import (
-    DEFAULT_EXECUTOR,
-    executor_info,
-    executor_names,
-    has_executor,
-    resolve_executor_name,
-    set_default_executor,
-)
-from repro.parallel.registry import ENV_VAR as EXECUTOR_ENV_VAR
-from repro.sat.backends import DEFAULT_BACKEND, backend_info, backend_names
+from repro.kernels import KERNELS
+from repro.parallel import EXECUTORS
+from repro.sat.backends import BACKENDS
+from repro.service.frontends import FRONTENDS
 from repro.store.factory import SKETCH_KINDS
 from repro.streaming.base import (
     DEFAULT_CHUNK_SIZE,
@@ -178,52 +163,26 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_backends(args: argparse.Namespace) -> int:
-    """List the registered NP-oracle backends."""
-    for name in backend_names():
-        info = backend_info(name)
-        marker = " (default)" if name == DEFAULT_BACKEND else ""
-        print(f"{name}{marker}: {info.description}")
-    return 0
-
-
-def _cmd_kernels(args: argparse.Namespace) -> int:
-    """List compute kernels, executor backends, and the auto-pick."""
-    from repro.common.errors import ReproError
-    from repro.kernels import ENV_VAR as KERNEL_ENV_VAR
+def _cmd_list(args: argparse.Namespace) -> int:
+    """List every registry and the kernel x executor auto-pick."""
     from repro.kernels.autopick import pick
 
-    for name in kernel_names():
-        info = kernel_info(name)
-        marker = " (default)" if name == DEFAULT_KERNEL else ""
-        status = ("" if info.available
-                  else f" [unavailable: {info.unavailable_reason}]")
-        gil = " [releases GIL]" if info.releases_gil else ""
-        print(f"{name}{marker}: {info.description}{status}{gil}")
-
-    resolved_kernel = resolve_kernel_name(None)
-    if not has_kernel(resolved_kernel):
-        print(f"{KERNEL_ENV_VAR}={resolved_kernel!r} names an unknown "
-              f"kernel; registered: {', '.join(kernel_names())}")
-        return 1
-
-    print()
-    print(f"executors (--executor on count/f0/push; "
-          f"{EXECUTOR_ENV_VAR} sets the session default):")
-    for name in executor_names():
-        info = executor_info(name)
-        marker = " (default)" if name == DEFAULT_EXECUTOR else ""
-        status = ("" if info.available
-                  else f" [unavailable: {info.unavailable_reason}]")
-        print(f"  {name}{marker}: {info.description}{status}")
-    try:
-        resolved = resolve_executor_name(None)
-    except ReproError as exc:
-        print(str(exc))
-        return 1
-    source = (f"from {EXECUTOR_ENV_VAR}"
-              if os.environ.get(EXECUTOR_ENV_VAR) else "default")
-    print(f"resolved executor: {resolved} ({source})")
+    for title, flag, registry in (("oracle backends", "--oracle", BACKENDS),
+                                  ("kernels", "--kernel", KERNELS),
+                                  ("executors", "--executor", EXECUTORS),
+                                  ("front ends", "--frontend", FRONTENDS)):
+        env = (f"; ${registry.env_var} sets the session default"
+               if registry.env_var else "")
+        print(f"{title} ({flag}{env}):")
+        for name in registry.names():
+            entry = registry.info(name)
+            marker = " (default)" if name == registry.default else ""
+            status = ("" if entry.available
+                      else f" [unavailable: {entry.unavailable_reason}]")
+            gil = " [releases GIL]" if entry.releases_gil else ""
+            print(f"  {name}{marker}: {entry.description}{status}{gil}")
+        print(f"  resolved: {registry.resolve()} ({registry.source()})")
+        print()
 
     try:
         decision = pick(calibrate=args.autopick)
@@ -293,14 +252,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "gateway holds no store to sweep")
         router = ClusterRouter(
             ClusterClient(nodes, replication=args.replication))
-    from repro.common.errors import ReproError
-    from repro.service.frontends import resolve_frontend_name
-
     try:
         # Explicit --frontend was validated by argparse; this resolves
         # the override / REPRO_FRONTEND / default chain (a bad env
         # value surfaces here as a one-line error, not a traceback).
-        frontend = resolve_frontend_name(args.frontend)
+        frontend = FRONTENDS.resolve(args.frontend)
     except ReproError as exc:
         raise SystemExit(str(exc))
     if frontend != "multiproc":
@@ -347,21 +303,6 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     for move in report["moves"]:
         print(f"  {move['name']}: -> {', '.join(move['targets'])}",
               file=sys.stderr)
-    return 0
-
-
-def _cmd_frontends(args: argparse.Namespace) -> int:
-    """List the registered service front ends."""
-    from repro.service.frontends import (
-        DEFAULT_FRONTEND,
-        frontend_info,
-        frontend_names,
-    )
-
-    for name in frontend_names():
-        info = frontend_info(name)
-        marker = " (default)" if name == DEFAULT_FRONTEND else ""
-        print(f"{name}{marker}: {info.description}")
     return 0
 
 
@@ -458,51 +399,6 @@ def _workers_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(
             "workers must be >= 0 (1 = serial, 0 = all cores)")
     return value
-
-
-def _kernel_arg(text: str) -> str:
-    """Parse ``--kernel`` with a friendly message (the registered names
-    and, for a registered-but-missing kernel, why it cannot be used)
-    instead of an InvalidParameterError traceback at first use."""
-    if not has_kernel(text):
-        raise argparse.ArgumentTypeError(
-            f"unknown kernel {text!r}; registered: "
-            f"{', '.join(kernel_names())} (see `repro kernels`)")
-    info = kernel_info(text)
-    if not info.available:
-        raise argparse.ArgumentTypeError(
-            f"kernel {text!r} is not usable here: "
-            f"{info.unavailable_reason}")
-    return text
-
-
-def _executor_arg(text: str) -> str:
-    """Parse ``--executor`` with a friendly message (the registered
-    backends and, for a registered-but-missing one, why it cannot be
-    used) instead of an InvalidParameterError traceback at first use."""
-    if not has_executor(text):
-        raise argparse.ArgumentTypeError(
-            f"unknown executor {text!r}; registered: "
-            f"{', '.join(executor_names())} (see `repro kernels`; "
-            f"{EXECUTOR_ENV_VAR} sets the session default)")
-    info = executor_info(text)
-    if not info.available:
-        raise argparse.ArgumentTypeError(
-            f"executor {text!r} is not usable here: "
-            f"{info.unavailable_reason}")
-    return text
-
-
-def _frontend_arg(text: str) -> str:
-    """Parse ``--frontend`` against the registry with a friendly message
-    (see `repro frontends`) instead of a late serve-time error."""
-    from repro.service.frontends import frontend_names
-
-    if text not in frontend_names():
-        raise argparse.ArgumentTypeError(
-            f"unknown front end {text!r}; registered: "
-            f"{', '.join(frontend_names())} (see `repro frontends`)")
-    return text
 
 
 def _procs_arg(text: str) -> int:
@@ -615,24 +511,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pool workers (1 = serial, 0 = all "
                             "cores); estimates are bit-identical for "
                             "any worker count")
-        p.add_argument("--executor", type=_executor_arg, default=None,
+        p.add_argument("--executor", type=EXECUTORS.arg_type, default=None,
                        metavar="BACKEND",
                        help="pool backend for --workers (see `repro "
-                            f"kernels`; default ${EXECUTOR_ENV_VAR} or "
-                            f"{DEFAULT_EXECUTOR})")
+                            f"list`; default ${EXECUTORS.env_var} or "
+                            f"{EXECUTORS.default})")
 
     def add_oracle(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--oracle", default=None, choices=backend_names(),
+        p.add_argument("--oracle", type=BACKENDS.arg_type, default=None,
                        metavar="BACKEND",
                        help="NP-oracle solver backend (see `repro "
-                            f"backends`; default {DEFAULT_BACKEND})")
+                            f"list`; default {BACKENDS.default})")
 
     def add_kernel(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--kernel", type=_kernel_arg, default=None,
+        p.add_argument("--kernel", type=KERNELS.arg_type, default=None,
                        metavar="KERNEL",
                        help="compute kernel for the solver and hashing "
-                            "inner loops (see `repro kernels`; default "
-                            f"$REPRO_KERNEL or {DEFAULT_KERNEL})")
+                            "inner loops (see `repro list`; default "
+                            f"${KERNELS.env_var} or {KERNELS.default})")
 
     count = sub.add_parser("count", help="approximate model counting")
     count.add_argument("formula", type=_input_file_arg,
@@ -655,20 +551,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_kernel(sample)
     sample.set_defaults(func=_cmd_sample)
 
-    backends = sub.add_parser(
-        "backends", help="list registered NP-oracle backends")
-    backends.set_defaults(func=_cmd_backends)
-
-    kernels = sub.add_parser(
-        "kernels",
-        help="list compute kernels, executor backends, and the "
-             "kernel x executor auto-pick")
-    kernels.add_argument("--autopick", action="store_true",
+    listing = sub.add_parser(
+        "list",
+        help="list oracle backends, compute kernels, executors, front "
+             "ends, and the kernel x executor auto-pick")
+    listing.add_argument("--autopick", action="store_true",
                          help="run the calibration micro-benchmark and "
                               "print per-pair timings (cached for the "
                               "process; without this flag the decision "
                               "is the capability heuristic)")
-    kernels.set_defaults(func=_cmd_kernels)
+    listing.set_defaults(func=_cmd_list)
 
     f0 = sub.add_parser("f0", help="distinct elements of an item stream")
     f0.add_argument("items", type=_input_file_arg,
@@ -711,11 +603,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(a missing file starts the service empty)")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-request log lines")
-    serve.add_argument("--frontend", type=_frontend_arg, default=None,
+    serve.add_argument("--frontend", type=FRONTENDS.arg_type, default=None,
                        metavar="NAME",
-                       help="transport front end (see `repro "
-                            "frontends`; default $REPRO_FRONTEND or "
-                            "threading)")
+                       help="transport front end (see `repro list`; "
+                            f"default ${FRONTENDS.env_var} or "
+                            f"{FRONTENDS.default})")
     serve.add_argument("--procs", type=_procs_arg, default=None,
                        metavar="N",
                        help="worker processes for --frontend multiproc "
@@ -743,10 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replicas per sketch name in --cluster "
                             "mode (default 2, capped at node count)")
     serve.set_defaults(func=_cmd_serve)
-
-    frontends = sub.add_parser(
-        "frontends", help="list registered service front ends")
-    frontends.set_defaults(func=_cmd_frontends)
 
     rebalance = sub.add_parser(
         "rebalance",
@@ -825,6 +713,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     kernel = getattr(args, "kernel", None)
     executor = getattr(args, "executor", None)
+    try:
+        # Resolve once, up front: a bad REPRO_KERNEL / REPRO_EXECUTOR is
+        # a one-line exit here, not a traceback from inside a pool worker.
+        KERNELS.resolve(kernel)
+        EXECUTORS.resolve(executor)
+    except ReproError as exc:
+        raise SystemExit(str(exc))
     if kernel is None and executor is None:
         return args.func(args)
     # Scope the registry defaults to this invocation: hash families and
@@ -832,16 +727,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # kernel/executor up without explicit threading, and in-process
     # callers (the test suite) see no leak.
     if kernel is not None:
-        set_default_kernel(kernel)
+        KERNELS.set_default(kernel)
     if executor is not None:
-        set_default_executor(executor)
+        EXECUTORS.set_default(executor)
     try:
         return args.func(args)
     finally:
         if kernel is not None:
-            set_default_kernel(None)
+            KERNELS.set_default(None)
         if executor is not None:
-            set_default_executor(None)
+            EXECUTORS.set_default(None)
 
 
 if __name__ == "__main__":

@@ -37,14 +37,13 @@ from repro.core.find_max_range import find_max_range
 from repro.core.find_min import find_min, find_min_cnf, find_min_dnf
 from repro.core.fm_count import flajolet_martin_count
 from repro.core.min_count import approx_model_count_min
-from repro.core.results import ApproxCountResult, CountResult
+from repro.core.results import ApproxCountResult
 from repro.core.sampling import SolutionSampler, sample_solutions
 
 __all__ = [
     "ApproxCountResult",
     "BucketingStrategy",
     "CounterStrategy",
-    "CountResult",
     "EstimationStrategy",
     "FlajoletMartinStrategy",
     "MinimumStrategy",

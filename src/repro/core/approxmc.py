@@ -44,7 +44,7 @@ from repro.core.engine import (
     RepetitionEngine,
     presampled_hashes,
 )
-from repro.core.results import ApproxCountResult, CountResult
+from repro.core.results import ApproxCountResult
 from repro.formulas.cnf import CnfFormula
 from repro.formulas.dnf import DnfFormula
 from repro.hashing.base import LinearHash
@@ -178,7 +178,7 @@ def approx_mc(
     executor: Optional[Executor] = None,
     backend: Optional[str] = None,
     kernel: Optional[str] = None,
-) -> CountResult:
+) -> ApproxCountResult:
     """Run ApproxMC (Algorithm 5); see module docstring.
 
     Thin wrapper over :class:`BucketingStrategy` + the shared

@@ -34,7 +34,7 @@ from repro.common.rng import RandomSource
 from repro.core.engine import CounterStrategy, RepetitionEngine
 from repro.core.find_max_range import find_max_range
 from repro.core.fm_count import flajolet_martin_count
-from repro.core.results import ApproxCountResult, CountResult
+from repro.core.results import ApproxCountResult
 from repro.formulas.cnf import CnfFormula
 from repro.formulas.dnf import DnfFormula
 from repro.hashing.kwise import KWiseHashFamily
@@ -109,7 +109,7 @@ def approx_model_count_est(
     executor: Optional[Executor] = None,
     backend: Optional[str] = None,
     kernel: Optional[str] = None,
-) -> CountResult:
+) -> ApproxCountResult:
     """Run ApproxModelCountEst (Algorithm 7); see module docstring.
 
     Args:

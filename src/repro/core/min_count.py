@@ -32,7 +32,7 @@ from repro.core.engine import (
     presampled_hashes,
 )
 from repro.core.find_min import find_min
-from repro.core.results import ApproxCountResult, CountResult
+from repro.core.results import ApproxCountResult
 from repro.formulas.cnf import CnfFormula
 from repro.formulas.dnf import DnfFormula
 from repro.hashing.base import LinearHash
@@ -104,7 +104,7 @@ def approx_model_count_min(
     executor: Optional[Executor] = None,
     backend: Optional[str] = None,
     kernel: Optional[str] = None,
-) -> CountResult:
+) -> ApproxCountResult:
     """Run ApproxModelCountMin (Algorithm 6); see module docstring.
 
     Thin wrapper over :class:`MinimumStrategy` + the shared

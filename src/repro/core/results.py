@@ -69,7 +69,3 @@ class ApproxCountResult:
         """``max - min`` of the raw estimates: how far the repetitions
         disagreed before the median stepped in."""
         return self.max_estimate - self.min_estimate
-
-
-#: Backward-compatible alias (the record predates the unified engine).
-CountResult = ApproxCountResult

@@ -10,8 +10,8 @@ Importing this package registers the built-in kernels:
 
 See :mod:`repro.kernels.registry` for the selection rules
 (explicit name -> :func:`set_default_kernel` override -> ``REPRO_KERNEL``
--> ``python``) and DESIGN.md ("Kernel registry") for the array-layout
-contract kernels code against.
+-> ``python``) and DESIGN.md ("Compute-kernel registry") for the
+array-layout contract kernels code against.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import importlib.util as _importlib_util
 from repro.kernels.registry import (
     DEFAULT_KERNEL,
     ENV_VAR,
-    KernelInfo,
+    KERNELS,
     get_kernel,
     has_kernel,
     kernel_info,
@@ -34,7 +34,7 @@ from repro.kernels.registry import (
 __all__ = [
     "DEFAULT_KERNEL",
     "ENV_VAR",
-    "KernelInfo",
+    "KERNELS",
     "get_kernel",
     "has_kernel",
     "kernel_info",

@@ -21,7 +21,7 @@ measures it:
   worker count); a calibrated decision is never overwritten by a
   heuristic one.
 * :func:`auto_executor` is the ``auto`` entry's factory in
-  :mod:`repro.parallel.registry`, and ``repro kernels --autopick``
+  :mod:`repro.parallel.registry`, and ``repro list --autopick``
   prints the decision (``repro.cli``).
 
 Calibration draws no randomness from user RNGs (fixed probe seeds), so
@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.errors import InvalidParameterError
 from repro.kernels.registry import (
     DEFAULT_KERNEL,
-    has_kernel,
     kernel_info,
     kernel_names,
     resolve_kernel_name,
@@ -130,11 +129,6 @@ def _executor_candidates() -> List[str]:
 def _heuristic(workers: int) -> AutopickDecision:
     """The zero-measurement fallback: read the ``releases_gil`` flag."""
     name = resolve_kernel_name(None)
-    if not has_kernel(name):
-        # A typo'd REPRO_KERNEL fails loudly at get_kernel(); the pick
-        # itself stays conservative instead of raising from inside an
-        # executor factory.
-        name = DEFAULT_KERNEL
     info = kernel_info(name)
     if not info.available:
         name = DEFAULT_KERNEL

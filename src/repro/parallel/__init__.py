@@ -15,18 +15,17 @@ from repro.parallel.executor import (
     ThreadExecutor,
     available_workers,
     executor_for,
-    get_executor,
     resolve_workers,
     split_seeds,
 )
 from repro.parallel.registry import (
     DEFAULT_EXECUTOR,
     ENV_VAR,
-    ExecutorInfo,
+    EXECUTORS,
     executor_info,
     executor_names,
+    get_executor,
     has_executor,
-    make_executor,
     register_executor,
     resolve_executor_name,
     set_default_executor,
@@ -37,8 +36,8 @@ __all__ = [
     "DEFAULT_EXECUTOR",
     "DEFAULT_WAVE",
     "ENV_VAR",
+    "EXECUTORS",
     "Executor",
-    "ExecutorInfo",
     "ProcessExecutor",
     "SerialExecutor",
     "ThreadExecutor",
@@ -49,7 +48,6 @@ __all__ = [
     "get_executor",
     "has_executor",
     "ingest_stream_parallel",
-    "make_executor",
     "register_executor",
     "resolve_executor_name",
     "resolve_workers",

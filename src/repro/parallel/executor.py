@@ -21,9 +21,8 @@ task payloads -- with three backends:
   and payloads picklable by value.
 
 Which backend a bare ``workers=k`` knob resolves to is a registry
-decision (:mod:`repro.parallel.registry`: explicit name ->
-``set_default_executor`` override -> ``REPRO_EXECUTOR`` -> ``auto``),
-mirroring the compute-kernel registry's ``REPRO_KERNEL`` chain.
+decision (:func:`repro.parallel.registry.get_executor`: explicit name ->
+``set_default_executor`` override -> ``REPRO_EXECUTOR`` -> ``auto``).
 
 Determinism discipline
 ----------------------
@@ -197,9 +196,9 @@ class ProcessExecutor(Executor):
     The pool is created once, up front, and reused across calls, so
     repeated scatters -- chunk waves of a long stream, successive
     counters in a benchmark sweep -- pay the spawn cost once (and
-    :func:`get_executor` can catch a failed spawn and degrade to
-    serial).  ``fn`` and ``shared`` travel with each worker chunk
-    (``workers`` pickles per map, not ``len(tasks)``).
+    :func:`~repro.parallel.registry.get_executor` can catch a failed
+    spawn and degrade to serial).  ``fn`` and ``shared`` travel with
+    each worker chunk (``workers`` pickles per map, not ``len(tasks)``).
     """
 
     def __init__(self, workers: int) -> None:
@@ -242,22 +241,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def get_executor(workers: Optional[int] = 1,
-                 name: Optional[str] = None) -> Executor:
-    """The executor for a ``(workers, name)`` pair.
-
-    ``workers=1`` (or ``None``) returns the serial backend -- zero
-    behavioural change and no pool spawn.  ``workers=0`` means "all
-    cores".  ``name`` picks a registered backend explicitly; ``None``
-    follows the registry resolution chain (:func:`set_default_executor`
-    override -> ``REPRO_EXECUTOR`` -> ``auto``).  When pool creation is
-    impossible, any request degrades gracefully to serial execution.
-    """
-    # Lazy import: the registry imports this module's classes.
-    from repro.parallel.registry import make_executor
-    return make_executor(workers, name)
-
-
 class _OwnedExecutor:
     """Context manager handing out a caller-supplied executor un-closed,
     or a freshly resolved one that is closed on exit.
@@ -277,6 +260,8 @@ class _OwnedExecutor:
     def __enter__(self) -> Executor:
         if self._external is not None:
             return self._external
+        # Lazy import: the registry imports this module's classes.
+        from repro.parallel.registry import get_executor
         self._owned = get_executor(self._workers)
         return self._owned
 

@@ -1,8 +1,7 @@
 """The executor registry: named parallel backends behind one knob.
 
-Mirrors the compute-kernel registry (:mod:`repro.kernels.registry`):
-*which backend* a bare ``workers=k`` fans out on becomes a configuration
-flag instead of a hardcoded ``multiprocessing`` pool.
+*Which backend* a bare ``workers=k`` fans out on is a configuration flag
+instead of a hardcoded ``multiprocessing`` pool:
 
 * ``auto`` (default) -- pick per workload: serial for ``workers<=1``,
   otherwise a calibrated decision when :mod:`repro.kernels.autopick` has
@@ -15,19 +14,20 @@ flag instead of a hardcoded ``multiprocessing`` pool.
 * ``process`` -- :class:`~repro.parallel.executor.ProcessExecutor`
   (pays fork+pickle, immune to the GIL).
 
-Selection resolves in order: an explicit name passed by the caller, the
-process-wide override set by :func:`set_default_executor` (the CLI's
-``--executor`` flag lands here), the ``REPRO_EXECUTOR`` environment
-variable, then :data:`DEFAULT_EXECUTOR`.
+:data:`EXECUTORS` is a :class:`repro.common.registry.Registry`:
+selection resolves an explicit name, else the
+:func:`set_default_executor` override (the CLI's ``--executor`` flag),
+else ``REPRO_EXECUTOR``, else :data:`DEFAULT_EXECUTOR`.
+:func:`get_executor` adds what is executor-specific: the ``workers <= 1``
+short-circuit and the degrade-to-serial fallback.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Optional
 
 from repro.common.errors import InvalidParameterError
+from repro.common.registry import Registry
 from repro.parallel.executor import (
     Executor,
     ProcessExecutor,
@@ -47,124 +47,36 @@ DEFAULT_EXECUTOR = "auto"
 #: Environment variable consulted when no explicit executor is requested.
 ENV_VAR = "REPRO_EXECUTOR"
 
+#: Entry factories receive the resolved worker count (>= 2: get_executor
+#: short-circuits <= 1 to serial first).
+EXECUTORS = Registry("executor", DEFAULT_EXECUTOR, ENV_VAR)
 
-@dataclass(frozen=True)
-class ExecutorInfo:
-    """One registry entry.
-
-    ``factory`` receives the resolved worker count (already >= 2 for the
-    pooled backends; :func:`make_executor` short-circuits ``<= 1`` to
-    serial first).  ``available`` is False when the backend cannot run on
-    this host (``process`` without ``multiprocessing``); the entry stays
-    listed so ``repro kernels`` can say why.
-    """
-
-    name: str
-    factory: Callable[[int], Executor]
-    description: str
-    available: bool = True
-    unavailable_reason: str = ""
+register_executor = EXECUTORS.register
+executor_names = EXECUTORS.names
+executor_info = EXECUTORS.info
+has_executor = EXECUTORS.has
+set_default_executor = EXECUTORS.set_default
+resolve_executor_name = EXECUTORS.resolve
 
 
-_REGISTRY: Dict[str, ExecutorInfo] = {}
-_default_override: Optional[str] = None
-
-
-def register_executor(name: str, factory: Callable[[int], Executor],
-                      description: str = "", available: bool = True,
-                      unavailable_reason: str = "",
-                      replace: bool = False) -> None:
-    """Register a named executor backend (``replace=False`` refuses to
-    shadow an existing name)."""
-    if not replace and name in _REGISTRY:
-        raise InvalidParameterError(f"executor {name!r} already registered")
-    _REGISTRY[name] = ExecutorInfo(name, factory, description,
-                                   available, unavailable_reason)
-
-
-def executor_names() -> List[str]:
-    """Registered executor names, default first, rest alphabetical."""
-    names = sorted(_REGISTRY)
-    if DEFAULT_EXECUTOR in names:
-        names.remove(DEFAULT_EXECUTOR)
-        names.insert(0, DEFAULT_EXECUTOR)
-    return names
-
-
-def executor_info(name: str) -> ExecutorInfo:
-    """Look an executor up by name (friendly error listing known names)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(executor_names())
-        raise InvalidParameterError(
-            f"unknown executor {name!r}; registered: {known} "
-            f"(also settable via {ENV_VAR})") from None
-
-
-def has_executor(name: str) -> bool:
-    """Whether ``name`` is registered (available or not)."""
-    return name in _REGISTRY
-
-
-def set_default_executor(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide executor override.
-
-    Takes precedence over ``REPRO_EXECUTOR``; the CLI's ``--executor``
-    flag routes here so every ``workers=`` knob in the call -- counters,
-    sharded ingestion, streaming scatter -- follows the same selection.
-    """
-    if name is not None:
-        executor_info(name)  # Validate eagerly: fail at the flag, not later.
-    global _default_override
-    _default_override = name
-
-
-def resolve_executor_name(name: Optional[str] = None) -> str:
-    """The executor name an optional explicit ``name`` resolves to.
-
-    An unknown value in ``REPRO_EXECUTOR`` raises here with an error
-    naming the variable, so a typo'd environment fails at first use
-    instead of silently running serial.
-    """
-    if name:
-        return name
-    if _default_override:
-        return _default_override
-    env = os.environ.get(ENV_VAR)
-    if env:
-        if not has_executor(env):
-            known = ", ".join(executor_names())
-            raise InvalidParameterError(
-                f"{ENV_VAR}={env!r} names an unknown executor; "
-                f"registered: {known}")
-        return env
-    return DEFAULT_EXECUTOR
-
-
-def make_executor(workers: Optional[int] = 1,
-                  name: Optional[str] = None) -> Executor:
-    """Resolve a ``(workers, name)`` pair to a live executor.
+def get_executor(workers: Optional[int] = 1,
+                 name: Optional[str] = None) -> Executor:
+    """The executor for a ``(workers, name)`` pair.
 
     ``workers`` follows :func:`~repro.parallel.executor.resolve_workers`
     (``None``/1 -> serial, 0 -> all cores).  A resolved count of 1
     short-circuits to :class:`SerialExecutor` whatever the name says --
-    a pool of one only adds overhead.  Unavailable backends raise with
-    the recorded reason; a pool-spawn failure (``OSError``) degrades
-    gracefully to serial, preserving the historical ``get_executor``
-    contract.
+    a pool of one only adds overhead.  ``name`` picks a registered
+    backend; ``None`` follows the resolution chain above.  Unavailable
+    backends raise with the recorded reason; a pool-spawn failure
+    (``OSError``) degrades gracefully to serial.
     """
     count = resolve_workers(workers)
-    resolved = resolve_executor_name(name)
-    info = executor_info(resolved)
-    if not info.available:
-        raise InvalidParameterError(
-            f"executor {resolved!r} is registered but unavailable: "
-            f"{info.unavailable_reason}")
+    entry = EXECUTORS.get(name)
     if count <= 1:
         return SerialExecutor()
     try:
-        return info.factory(count)
+        return entry.factory(count)
     except (InvalidParameterError, OSError):  # pragma: no cover - env-specific
         return SerialExecutor()
 

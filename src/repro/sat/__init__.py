@@ -21,8 +21,8 @@ This package is the reproduction's substitute for the paper's NP oracle
 """
 
 from repro.sat.backends import (
+    BACKENDS,
     DEFAULT_BACKEND,
-    BackendInfo,
     SolverBackend,
     backend_info,
     backend_names,
@@ -35,19 +35,17 @@ from repro.sat.encode_xor import xor_to_cnf_clauses
 from repro.sat.oracle import (
     EnumerationOracle,
     NpOracle,
-    OracleBackend,
     TrailZeroOracle,
     oracle_for,
 )
 from repro.sat.solver import CdclSolver, SolverStats
 
 __all__ = [
+    "BACKENDS",
     "DEFAULT_BACKEND",
-    "BackendInfo",
     "CdclSolver",
     "EnumerationOracle",
     "NpOracle",
-    "OracleBackend",
     "SolverBackend",
     "SolverStats",
     "TrailZeroOracle",

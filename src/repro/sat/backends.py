@@ -41,15 +41,18 @@ Registered backends:
   reasoning.
 
 Adding a backend is ``register_backend(name, factory)`` -- see DESIGN.md,
-section "Oracle backend registry + repetition engine".
+section "Registries".  :data:`BACKENDS` is a
+:class:`repro.common.registry.Registry` with no override and no
+environment variable: ``NpOracle(backend=...)`` / ``--oracle`` name a
+backend explicitly, else :data:`DEFAULT_BACKEND` runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence
+from typing import Iterable, List, Optional, Protocol, Sequence
 
 from repro.common.errors import InvalidParameterError
+from repro.common.registry import Registry
 from repro.formulas.cnf import CnfFormula
 from repro.formulas.xor_constraint import XorConstraint
 from repro.sat.solver import CdclSolver
@@ -64,76 +67,41 @@ class SolverBackend(Protocol):
 
     num_vars: int
 
-    def solve(self, assumptions: Sequence[int] = ()) -> bool: ...
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        """Satisfiable under ``assumptions``?  Keeps the model if so."""
 
-    def resume_after_block(self) -> bool: ...
+    def resume_after_block(self) -> bool:
+        """Exclude the current model for good; find the next one."""
 
-    def model_int(self) -> int: ...
+    def model_int(self) -> int:
+        """The current model as a bitmask (bit ``v - 1`` is ``v``)."""
 
-    def add_clause(self, lits: Sequence[int]) -> bool: ...
+    def add_clause(self, lits: Sequence[int]) -> bool:
+        """Add a permanent clause; False once trivially UNSAT."""
 
-    def add_xor(self, mask: int, rhs: int) -> bool: ...
+    def add_xor(self, mask: int, rhs: int) -> bool:
+        """Add the permanent parity row ``parity(x & mask) == rhs``."""
 
-    def add_xor_constraint(self, xc: XorConstraint) -> bool: ...
+    def add_xor_constraint(self, xc: XorConstraint) -> bool:
+        """Add an :class:`XorConstraint` as a parity row."""
 
-    def new_var(self) -> int: ...
+    def new_var(self) -> int:
+        """Allocate a fresh auxiliary variable; returns its id."""
 
-    def decision_literals(self) -> List[int]: ...
+    def decision_literals(self) -> List[int]:
+        """Literals whose negation-clause excludes exactly the model."""
 
 
-#: A backend factory: formula + fixed XOR side constraints -> solver.
-#: Factories also accept a ``kernel`` keyword naming the compute kernel
+#: Entry factories map formula + fixed XOR side constraints to a solver.
+#: They also accept a ``kernel`` keyword naming the compute kernel
 #: (:mod:`repro.kernels`) for the propagation inner loop; backends whose
 #: hot loop is not kernelised (bruteforce, pysat) accept and ignore it.
-BackendFactory = Callable[..., SolverBackend]
+BACKENDS = Registry("oracle backend", DEFAULT_BACKEND)
 
-
-@dataclass(frozen=True)
-class BackendInfo:
-    """One registry entry."""
-
-    name: str
-    factory: BackendFactory
-    description: str
-
-
-_REGISTRY: Dict[str, BackendInfo] = {}
-
-
-def register_backend(name: str, factory: BackendFactory,
-                     description: str = "",
-                     replace: bool = False) -> None:
-    """Register a named oracle backend.
-
-    ``replace=False`` (the default) refuses to shadow an existing name, so
-    a typo in a plugin cannot silently hijack ``cdcl``.
-    """
-    if not replace and name in _REGISTRY:
-        raise InvalidParameterError(f"backend {name!r} already registered")
-    _REGISTRY[name] = BackendInfo(name, factory, description)
-
-
-def backend_names() -> List[str]:
-    """Registered backend names, default first, rest alphabetical."""
-    names = sorted(_REGISTRY)
-    if DEFAULT_BACKEND in names:
-        names.remove(DEFAULT_BACKEND)
-        names.insert(0, DEFAULT_BACKEND)
-    return names
-
-
-def backend_info(name: str) -> BackendInfo:
-    """Look a backend up by name (friendly error listing known names)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(backend_names())
-        raise InvalidParameterError(
-            f"unknown oracle backend {name!r}; registered: {known}") from None
-
-
-def has_backend(name: str) -> bool:
-    return name in _REGISTRY
+register_backend = BACKENDS.register
+backend_names = BACKENDS.names
+backend_info = BACKENDS.info
+has_backend = BACKENDS.has
 
 
 def create_solver(name: Optional[str], formula: CnfFormula,
@@ -142,8 +110,7 @@ def create_solver(name: Optional[str], formula: CnfFormula,
     """Instantiate the named backend (``None`` -> the default) for a
     formula plus fixed XOR side constraints.  ``kernel`` selects the
     compute kernel for backends that propagate through one."""
-    return backend_info(name or DEFAULT_BACKEND).factory(
-        formula, xors, kernel=kernel)
+    return BACKENDS.get(name).factory(formula, xors, kernel=kernel)
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +160,9 @@ class BruteForceSolver:
     @classmethod
     def from_cnf(cls, cnf: CnfFormula, xors: Iterable[XorConstraint] = (),
                  kernel: Optional[str] = None) -> "BruteForceSolver":
-        # ``kernel`` is accepted for factory-signature uniformity; the
-        # exhaustive scan has no kernelised inner loop.
+        """Load ``cnf`` plus fixed XOR rows.  ``kernel`` is accepted for
+        factory-signature uniformity; the exhaustive scan has no
+        kernelised inner loop."""
         solver = cls(cnf.num_vars)
         for clause in cnf.clauses:
             solver.add_clause(clause)
@@ -205,6 +173,7 @@ class BruteForceSolver:
     # -- construction ---------------------------------------------------
 
     def new_var(self) -> int:
+        """Allocate a fresh auxiliary variable; returns its id."""
         self.num_vars += 1
         self._free_aux.append(self.num_vars)
         return self.num_vars
@@ -218,6 +187,7 @@ class BruteForceSolver:
             self._free_aux.append(self.num_vars)
 
     def add_clause(self, lits: Sequence[int]) -> bool:
+        """Add a permanent clause; False once trivially UNSAT."""
         lits = list(lits)
         for lit in lits:
             if lit == 0:
@@ -229,6 +199,7 @@ class BruteForceSolver:
         return self.ok
 
     def add_xor(self, mask: int, rhs: int) -> bool:
+        """Add the permanent parity row ``parity(x & mask) == rhs``."""
         self._grow(mask.bit_length())
         rhs &= 1
         undefined_aux = [v for v in self._free_aux if (mask >> (v - 1)) & 1]
@@ -245,6 +216,7 @@ class BruteForceSolver:
         return self.ok
 
     def add_xor_constraint(self, xc: XorConstraint) -> bool:
+        """Add an :class:`XorConstraint` as a parity row."""
         return self.add_xor(xc.mask, xc.rhs)
 
     # -- evaluation -----------------------------------------------------
@@ -302,10 +274,12 @@ class BruteForceSolver:
     # -- solving --------------------------------------------------------
 
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        """Satisfiable under ``assumptions``?  Keeps the model if so."""
         self._assumptions = tuple(assumptions)
         return self._scan(0)
 
     def resume_after_block(self) -> bool:
+        """Exclude the current model for good; find the next one."""
         if self._model is None:
             raise InvalidParameterError("no model to continue from")
         self.add_clause([-v if (self._model >> (v - 1)) & 1 else v
@@ -313,6 +287,7 @@ class BruteForceSolver:
         return self._scan(self._cursor)
 
     def model_int(self) -> int:
+        """The current model as a bitmask (bit ``v - 1`` is ``v``)."""
         if self._model is None:
             raise InvalidParameterError("no model available")
         return self._model
@@ -367,8 +342,9 @@ class PySatSolver:
     @classmethod
     def from_cnf(cls, cnf: CnfFormula, xors: Iterable[XorConstraint] = (),
                  kernel: Optional[str] = None) -> "PySatSolver":
-        # ``kernel`` is accepted for factory-signature uniformity; the
-        # compiled pysat engines bring their own inner loops.
+        """Load ``cnf`` plus fixed XOR rows.  ``kernel`` is accepted for
+        factory-signature uniformity; the compiled pysat engines bring
+        their own inner loops."""
         solver = cls(cnf.num_vars)
         for clause in cnf.clauses:
             solver.add_clause(clause)
@@ -392,12 +368,14 @@ class PySatSolver:
         self.num_vars = var
 
     def new_var(self) -> int:
+        """Allocate a fresh auxiliary variable; returns its id."""
         self._top += 1
         self.num_vars = self._top
         self._visible.append(self._top)
         return self._top
 
     def add_clause(self, lits: Sequence[int]) -> bool:
+        """Add a permanent clause; False once trivially UNSAT."""
         lits = list(lits)
         for lit in lits:
             if lit == 0:
@@ -409,6 +387,7 @@ class PySatSolver:
         return self.ok
 
     def add_xor(self, mask: int, rhs: int) -> bool:
+        """Add the permanent parity row ``parity(x & mask) == rhs``."""
         from repro.sat.encode_xor import xor_to_cnf_clauses
         self._grow_visible(mask.bit_length())
         variables = [v + 1 for v in range(mask.bit_length())
@@ -423,9 +402,11 @@ class PySatSolver:
         return self.ok
 
     def add_xor_constraint(self, xc: XorConstraint) -> bool:
+        """Add an :class:`XorConstraint` as a parity row."""
         return self.add_xor(xc.mask, xc.rhs)
 
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        """Satisfiable under ``assumptions``?  Keeps the model if so."""
         self._assumptions = tuple(assumptions)
         return self._finish(self._solver.solve(
             assumptions=list(self._assumptions)))
@@ -443,6 +424,7 @@ class PySatSolver:
         return True
 
     def resume_after_block(self) -> bool:
+        """Exclude the current model for good; find the next one."""
         if self._model is None:
             raise InvalidParameterError("no model to continue from")
         self._solver.add_clause(
@@ -451,6 +433,7 @@ class PySatSolver:
             assumptions=list(self._assumptions)))
 
     def model_int(self) -> int:
+        """The current model as a bitmask (bit ``v - 1`` is ``v``)."""
         if self._model is None:
             raise InvalidParameterError("no model available")
         return self._model

@@ -65,10 +65,6 @@ class TrailZeroOracle(Protocol):
         ...
 
 
-#: Deprecated alias (predates the backend registry; kept for imports).
-OracleBackend = TrailZeroOracle
-
-
 class OracleSession:
     """An incremental solving context drawing calls from a parent oracle.
 

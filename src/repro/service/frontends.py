@@ -2,10 +2,9 @@
 
 The router (:mod:`repro.service.router`) is the service; a *front end*
 is only the concurrency strategy that feeds it requests.  This registry
-makes that strategy a configuration choice -- the same discipline
-:mod:`repro.sat.backends` applies to NP-oracle solvers -- so ``repro
-serve --frontend asyncio`` swaps the transport without touching a line
-of routing, storage or sketch code.
+makes that strategy a configuration choice, so ``repro serve --frontend
+asyncio`` swaps the transport without touching a line of routing,
+storage or sketch code.
 
 Registered front ends:
 
@@ -25,16 +24,16 @@ Registered front ends:
 
 Every front end implements the same tiny contract
 (:class:`ServiceFrontend`): ``url``, ``start_background()``,
-``stop()``.  ``python -m repro frontends`` lists this registry.
+``stop()``.  ``python -m repro list`` lists this registry.
 
-Which front end (and how many workers) to run resolves exactly like
-the compute-kernel registry (:mod:`repro.kernels.registry`): an
-explicit value, else the process-wide override
-(:func:`set_default_frontend` / :func:`set_default_procs`), else the
-``REPRO_FRONTEND`` / ``REPRO_PROCS`` environment variables, else the
-defaults.  Which one *wins* is workload-dependent -- so benchmarks
-E28/E30 stamp ``frontend``/``procs`` into their payloads and measure
-instead of assuming.
+:data:`FRONTENDS` is a :class:`repro.common.registry.Registry`: the
+front end resolves an explicit name, else the
+:func:`set_default_frontend` override, else ``REPRO_FRONTEND``, else
+:data:`DEFAULT_FRONTEND`.  The multiproc worker count resolves the same
+way through :func:`resolve_procs` (``set_default_procs`` /
+``REPRO_PROCS`` / :data:`DEFAULT_PROCS`).  Which front end *wins* is
+workload-dependent -- so benchmarks E28/E30 stamp ``frontend``/``procs``
+into their payloads and measure instead of assuming.
 """
 
 from __future__ import annotations
@@ -43,9 +42,10 @@ import asyncio
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Optional, Protocol, Tuple
 
 from repro.common.errors import ReproError
+from repro.common.registry import Registry
 from repro.service.router import Router
 from repro.service.server import MAX_BODY_BYTES, F0Server
 
@@ -69,20 +69,6 @@ class ServiceFrontend(Protocol):
         ...
 
 
-class FrontendInfo:
-    """Registry record: a named front-end factory plus its description."""
-
-    __slots__ = ("name", "description", "factory")
-
-    def __init__(self, name: str, description: str,
-                 factory: Callable[..., ServiceFrontend]) -> None:
-        self.name = name
-        self.description = description
-        self.factory = factory
-
-
-_REGISTRY: Dict[str, FrontendInfo] = {}
-
 #: The front end ``repro serve`` uses when none is named.
 DEFAULT_FRONTEND = "threading"
 
@@ -94,20 +80,19 @@ DEFAULT_PROCS = 2
 ENV_FRONTEND = "REPRO_FRONTEND"
 ENV_PROCS = "REPRO_PROCS"
 
-_frontend_override: Optional[str] = None
+#: Entry factories are called as ``factory(address, router,
+#: verbose=..., **options)`` and return an unstarted
+#: :class:`ServiceFrontend`; they must tolerate (and may ignore)
+#: options meant for other front ends.
+FRONTENDS = Registry("front end", DEFAULT_FRONTEND, ENV_FRONTEND)
+
+register_frontend = FRONTENDS.register
+frontend_names = FRONTENDS.names
+frontend_info = FRONTENDS.info
+set_default_frontend = FRONTENDS.set_default
+resolve_frontend_name = FRONTENDS.resolve
+
 _procs_override: Optional[int] = None
-
-
-def set_default_frontend(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide front-end override.
-
-    Takes precedence over ``REPRO_FRONTEND``; validated eagerly so a
-    typo fails at the flag, not at serve time.
-    """
-    if name is not None:
-        frontend_info(name)
-    global _frontend_override
-    _frontend_override = name
 
 
 def set_default_procs(count: Optional[int]) -> None:
@@ -121,29 +106,6 @@ def set_default_procs(count: Optional[int]) -> None:
         raise ReproError("procs must be >= 0 (0 = all cores)")
     global _procs_override
     _procs_override = count
-
-
-def resolve_frontend_name(name: Optional[str] = None) -> str:
-    """The front-end name an optional explicit ``name`` resolves to
-    (explicit > override > ``REPRO_FRONTEND`` > default).
-
-    Raises:
-        ReproError: ``REPRO_FRONTEND`` names an unregistered front end
-            (explicit and override values were validated at their
-            source; the env var can only be checked here).
-    """
-    if name:
-        return name
-    if _frontend_override:
-        return _frontend_override
-    env = os.environ.get(ENV_FRONTEND)
-    if env:
-        if env not in _REGISTRY:
-            raise ReproError(
-                f"{ENV_FRONTEND}={env!r} names an unknown front end; "
-                f"registered: {', '.join(frontend_names())}")
-        return env
-    return DEFAULT_FRONTEND
 
 
 def resolve_procs(count: Optional[int] = None) -> int:
@@ -173,45 +135,6 @@ def resolve_procs(count: Optional[int] = None) -> int:
     return DEFAULT_PROCS
 
 
-def register_frontend(name: str, description: str,
-                      factory: Callable[..., ServiceFrontend]) -> None:
-    """Register a front-end factory under a unique name.
-
-    Args:
-        name: the ``--frontend`` value selecting it.
-        description: one-line human summary for the listing verb.
-        factory: ``factory(address, router, verbose=..., **options)``
-            returning an unstarted :class:`ServiceFrontend`; factories
-            must tolerate (and may ignore) options meant for other
-            front ends.
-
-    Raises:
-        ReproError: the name is already taken.
-    """
-    if name in _REGISTRY:
-        raise ReproError(f"front end {name!r} is already registered")
-    _REGISTRY[name] = FrontendInfo(name, description, factory)
-
-
-def frontend_names() -> List[str]:
-    """Registered front-end names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def frontend_info(name: str) -> FrontendInfo:
-    """The registry record for one front end.
-
-    Raises:
-        ReproError: unknown name.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown front end {name!r}; registered: "
-            f"{', '.join(frontend_names())}")
-
-
 def create_frontend(name: str, address: Address, router: Router,
                     verbose: bool = False, **options) -> ServiceFrontend:
     """Instantiate (but do not start) a registered front end.
@@ -221,7 +144,7 @@ def create_frontend(name: str, address: Address, router: Router,
     so callers can pass CLI flags through unconditionally.
     """
     options = {k: v for k, v in options.items() if v is not None}
-    return frontend_info(name).factory(address, router, verbose=verbose,
+    return FRONTENDS.get(name).factory(address, router, verbose=verbose,
                                        **options)
 
 
@@ -450,25 +373,22 @@ def _asyncio_factory(address: Address, router: Router,
 
 
 register_frontend(
-    "threading",
-    "one OS thread per request (http.server.ThreadingHTTPServer)",
-    _threading_factory)
+    "threading", _threading_factory,
+    "one OS thread per request (http.server.ThreadingHTTPServer)")
 
 register_frontend(
-    "asyncio",
+    "asyncio", _asyncio_factory,
     "single event loop multiplexing all connections "
-    "(asyncio.start_server + handler thread pool)",
-    _asyncio_factory)
+    "(asyncio.start_server + handler thread pool)")
 
 # Imported at the bottom: multiproc needs this module's resolution
 # helpers, so registering it first would be a circular import.
 from repro.service.multiproc import MultiprocFrontend  # noqa: E402
 
 register_frontend(
-    "multiproc",
+    "multiproc", MultiprocFrontend,
     "N pre-forked SO_REUSEPORT workers reconciling through the "
-    "frame-delta log (shared-nothing, scales past one core)",
-    MultiprocFrontend)
+    "frame-delta log (shared-nothing, scales past one core)")
 
 __all__ = [
     "AsyncioFrontend",
@@ -476,7 +396,7 @@ __all__ = [
     "DEFAULT_PROCS",
     "ENV_FRONTEND",
     "ENV_PROCS",
-    "FrontendInfo",
+    "FRONTENDS",
     "MultiprocFrontend",
     "ServiceFrontend",
     "create_frontend",

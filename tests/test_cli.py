@@ -97,12 +97,6 @@ class TestOracleSelection:
         with pytest.raises(SystemExit):
             main(["count", cnf_file, "--oracle", "no-such-solver"])
 
-    def test_backends_command_lists_registry(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "cdcl (default)" in out
-        assert "bruteforce" in out
-
 
 class TestWorkersValidation:
     def test_negative_workers_friendly_error(self, cnf_file, capsys):
@@ -266,7 +260,7 @@ class TestServeFlags:
         assert exc.value.code == 2  # argparse usage error, not a traceback
         err = capsys.readouterr().err
         assert "unknown front end 'bogus'" in err
-        assert "repro frontends" in err
+        assert "repro list" in err
 
     def test_procs_negative_friendly_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -302,12 +296,40 @@ class TestServeFlags:
                 main(["serve", "--cluster", "http://h1:1"] + flag)
             assert "per-node" in str(exc.value.code), flag
 
-    def test_frontends_verb_lists_registry(self, capsys):
-        assert main(["frontends"]) == 0
+
+class TestListVerb:
+    def test_list_prints_every_registry(self, capsys, monkeypatch):
+        from repro.kernels import KERNELS
+
+        monkeypatch.setattr(KERNELS, "entries", dict(KERNELS.entries))
+        KERNELS.register("test-missing-dep", lambda: None,
+                         available=False,
+                         unavailable_reason="dependency not installed")
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "threading (default):" in out
-        assert "asyncio:" in out
-        assert "multiproc:" in out
+        for section in ("oracle backends (--oracle)", "kernels (--kernel;",
+                        "executors (--executor;", "front ends (--frontend;"):
+            assert section in out
+        for default in ("cdcl (default):", "python (default):",
+                        "auto (default):", "threading (default):"):
+            assert default in out
+        assert "bruteforce:" in out and "multiproc:" in out
+        assert "[unavailable: dependency not installed]" in out
+        assert "[releases GIL]" in out  # numba, listed even when missing.
+        assert "resolved: auto (default)" in out
+        assert "auto-pick (heuristic)" in out
+
+    def test_list_reports_env_source(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        assert main(["list"]) == 0
+        assert "resolved: thread (from REPRO_EXECUTOR)" in \
+            capsys.readouterr().out
+
+    def test_old_listing_verbs_are_gone(self):
+        for verb in ("backends", "kernels", "frontends"):
+            with pytest.raises(SystemExit) as exc:
+                main([verb])
+            assert exc.value.code == 2
 
 
 class TestEnvResolution:
@@ -384,6 +406,26 @@ class TestEnvResolution:
         message = str(exc.value.code)
         assert "REPRO_PROCS" in message
         assert "non-negative integer" in message
+
+
+class TestBadEnvVar:
+    """A bad REPRO_KERNEL / REPRO_EXECUTOR is a one-line exit naming the
+    variable, even when the command would fan out over a worker pool."""
+
+    @pytest.mark.parametrize("env_var", ["REPRO_KERNEL", "REPRO_EXECUTOR"])
+    @pytest.mark.parametrize("verb", ["count", "f0"])
+    def test_bad_env_value_exits_naming_the_variable(
+            self, monkeypatch, cnf_file, tmp_path, env_var, verb):
+        items = tmp_path / "items.txt"
+        items.write_text("1\n2\n")
+        argv = (["count", cnf_file] if verb == "count"
+                else ["f0", str(items), "--universe-bits", "4"])
+        monkeypatch.setenv(env_var, "bogus")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "2"])
+        message = str(exc.value.code)
+        assert f"{env_var}='bogus'" in message
+        assert "registered:" in message
 
 
 class TestF0Command:

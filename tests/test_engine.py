@@ -27,7 +27,7 @@ from repro.core.engine import CounterStrategy, RepetitionEngine, run_strategy
 from repro.core.est_count import approx_model_count_est
 from repro.core.fm_count import flajolet_martin_count
 from repro.core.min_count import MinimumStrategy, approx_model_count_min
-from repro.core.results import ApproxCountResult, CountResult
+from repro.core.results import ApproxCountResult
 from repro.formulas.generators import fixed_count_dnf, random_k_cnf
 from repro.parallel.executor import ProcessExecutor
 from repro.streaming.base import SketchParams
@@ -193,9 +193,6 @@ class TestResultAssembly:
         empty = ApproxCountResult(estimate=3.0)
         assert empty.min_estimate == empty.max_estimate == 3.0
         assert empty.spread == 0.0
-
-    def test_count_result_alias(self):
-        assert CountResult is ApproxCountResult
 
 
 class TestBackendKnobOnCounters:

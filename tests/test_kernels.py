@@ -37,7 +37,7 @@ from repro.gf2.gf2n import GF2n
 from repro.hashing.toeplitz import ToeplitzHashFamily
 from repro.kernels import (
     DEFAULT_KERNEL,
-    KernelInfo,
+    KERNELS,
     get_kernel,
     has_kernel,
     kernel_info,
@@ -46,7 +46,6 @@ from repro.kernels import (
     resolve_kernel_name,
     set_default_kernel,
 )
-from repro.kernels import registry as kregistry
 from repro.kernels import state as kstate
 from repro.sat.bruteforce import brute_force_models
 from repro.sat.oracle import NpOracle
@@ -246,19 +245,18 @@ class TestRegistry:
             get_kernel("no-such-kernel")
 
     def test_unavailable_kernel_error_carries_reason(self, monkeypatch):
-        monkeypatch.setitem(
-            kregistry._REGISTRY, "test-missing-dep",
-            KernelInfo("test-missing-dep", lambda: None, "",
-                       available=False,
-                       unavailable_reason="dependency not installed"))
+        monkeypatch.setattr(KERNELS, "entries", dict(KERNELS.entries))
+        register_kernel("test-missing-dep", lambda: None,
+                        available=False,
+                        unavailable_reason="dependency not installed")
         with pytest.raises(InvalidParameterError,
                            match="dependency not installed"):
             get_kernel("test-missing-dep")
 
     def test_resolution_order(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "from-env")
+        monkeypatch.setenv("REPRO_KERNEL", "numba")
         assert resolve_kernel_name("explicit") == "explicit"
-        assert resolve_kernel_name(None) == "from-env"
+        assert resolve_kernel_name(None) == "numba"
         set_default_kernel(DEFAULT_KERNEL)
         try:
             assert resolve_kernel_name(None) == DEFAULT_KERNEL
@@ -283,15 +281,6 @@ class TestCli:
         path.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
         return str(path)
 
-    def test_kernels_verb_lists_availability(self, capsys):
-        from repro.cli import main
-        assert main(["kernels"]) == 0
-        out = capsys.readouterr().out
-        assert "python (default)" in out
-        assert "numba" in out
-        if not kernel_info("numba").available:
-            assert "unavailable" in out
-
     def test_count_with_explicit_kernel(self, cnf_path, capsys):
         from repro.cli import main
         assert main(["count", cnf_path, "--kernel", DEFAULT_KERNEL]) == 0
@@ -304,7 +293,7 @@ class TestCli:
             main(["count", cnf_path, "--kernel", "no-such-kernel"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown kernel" in err and "repro kernels" in err
+        assert "unknown kernel" in err and "repro list" in err
 
     def test_kernel_flag_rejected_for_exact(self, cnf_path):
         from repro.cli import main

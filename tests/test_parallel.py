@@ -48,7 +48,6 @@ from repro.parallel import (
     executor_names,
     get_executor,
     ingest_stream_parallel,
-    make_executor,
     resolve_executor_name,
     resolve_workers,
     set_default_executor,
@@ -398,21 +397,21 @@ class TestExecutorRegistry:
         assert {"auto", "serial", "thread", "process"} <= set(names)
 
     def test_make_executor_explicit_names(self):
-        ex = make_executor(3, "thread")
+        ex = get_executor(3, "thread")
         try:
             assert isinstance(ex, ThreadExecutor) and ex.workers == 3
         finally:
             ex.close()
-        assert isinstance(make_executor(4, "serial"), SerialExecutor)
+        assert isinstance(get_executor(4, "serial"), SerialExecutor)
 
     def test_workers_one_short_circuits_any_backend(self):
         for name in ("auto", "serial", "thread", "process"):
-            assert isinstance(make_executor(1, name), SerialExecutor)
-            assert isinstance(make_executor(None, name), SerialExecutor)
+            assert isinstance(get_executor(1, name), SerialExecutor)
+            assert isinstance(get_executor(None, name), SerialExecutor)
 
     def test_unknown_name_is_friendly(self):
         with pytest.raises(InvalidParameterError, match="registered:"):
-            make_executor(4, "gpu")
+            get_executor(4, "gpu")
 
     def test_env_var_resolution(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")

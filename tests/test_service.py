@@ -371,13 +371,6 @@ class TestFrontendRegistry:
         assert "asyncio" in names
         assert "multiproc" in names
 
-    def test_cli_lists_frontends(self, capsys):
-        from repro.cli import main
-        assert main(["frontends"]) == 0
-        out = capsys.readouterr().out
-        assert "threading (default):" in out
-        assert "asyncio:" in out
-
     def test_unknown_frontend_rejected(self):
         from repro.common.errors import ReproError
         from repro.service.frontends import create_frontend

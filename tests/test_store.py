@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.hashing.kwise import KWiseHashFamily
 from repro.hashing.toeplitz import ToeplitzHashFamily
-from repro.parallel.executor import get_executor
+from repro.parallel import get_executor
 from repro.parallel.streaming import ingest_stream_parallel
 from repro.store import (
     StoreFormatError,
