@@ -13,7 +13,12 @@ The key operation is :meth:`AffineSubspace.smallest_elements`, which returns
 the ``p`` numerically smallest members *without* enumerating the whole
 subspace: after an MSB-first reduction the elements are monotone in the
 choice vector, so the smallest ``p`` correspond to choice values
-``0 .. p-1``.
+``0 .. p-1``, built by doubling in ``p - 1`` XORs.
+
+Affine maps are given in *column form*: ``columns[j]`` is the image of the
+unit vector ``1 << j``, so :meth:`AffineSubspace.image` maps a vector in
+one XOR per set bit (a hash caches its columns, see
+:meth:`repro.hashing.base.LinearHash.columns`).
 """
 
 from __future__ import annotations
@@ -25,6 +30,17 @@ from repro.gf2.matrix import (
     rref_msb,
     solve_affine_system,
 )
+
+
+def _apply_columns(columns: Sequence[int], x: int) -> int:
+    """The linear map with the given columns applied to ``x``: the XOR of
+    ``columns[j]`` over the set bits ``j`` of ``x``."""
+    out = 0
+    while x:
+        low = x & -x
+        out ^= columns[low.bit_length() - 1]
+        x ^= low
+    return out
 
 
 class AffineSubspace:
@@ -39,9 +55,15 @@ class AffineSubspace:
     __slots__ = ("width", "origin", "basis")
 
     def __init__(self, width: int, origin: int, basis: Sequence[int]) -> None:
+        basis = list(basis)
         if origin >> width:
-            raise ValueError("origin does not fit in width bits")
-        reduced, _pivots = rref_msb(list(basis))
+            raise ValueError(f"origin {origin:#x} does not fit in "
+                             f"{width} bits")
+        for vec in basis:
+            if vec >> width:
+                raise ValueError(f"basis vector {vec:#x} does not fit in "
+                                 f"{width} bits")
+        reduced, _pivots = rref_msb(basis)
         self.width = width
         self.basis = reduced
         self.origin = reduce_modulo_basis(origin, reduced)
@@ -147,10 +169,20 @@ class AffineSubspace:
         This is the fast-path primitive behind FindMin (Proposition 2) and
         AffineFindMin (Proposition 4): the subspace's elements are monotone
         in the choice vector, so the smallest ``p`` are choices ``0..p-1``.
+        They are built by doubling: choices ``0..2^k - 1`` toggle only the
+        ``k`` lowest-pivot basis vectors, and the next ``2^k`` choices are
+        the same list XORed with the next one up -- one XOR per element.
         """
         if p < 0:
             raise ValueError("p must be non-negative")
-        return [self.element(c) for c in range(min(p, self.size()))]
+        if p == 0:
+            return []
+        out = [self.origin]
+        for vec in reversed(self.basis):
+            if len(out) >= p:
+                break
+            out.extend([x ^ vec for x in out[:p - len(out)]])
+        return out
 
     # ------------------------------------------------------------------
     # Transformation
@@ -205,19 +237,28 @@ class AffineSubspace:
                 hi = mid - 1
         return lo
 
-    def image(self, rows: Sequence[int], offset: int,
+    def image(self, columns: Sequence[int], offset: int,
               out_width: int) -> "AffineSubspace":
         """The image ``{A x + c : x in self}`` under an affine map.
 
-        ``rows`` is the map's matrix (one int per output bit, output bit
-        ``r`` at position ``r``), ``offset`` the additive constant ``c``.
-        Output bit order is the caller's concern; this method is bit-order
-        agnostic.
+        ``columns`` is the map's matrix in column form: ``columns[j]`` is
+        the image of input bit ``j`` (one per bit of ``self.width``), an
+        ``out_width``-bit int; ``offset`` is the additive constant ``c``.
+        Each vector maps in one XOR per set bit.  Output bit order is the
+        caller's concern; this method is bit-order agnostic.
         """
-        from repro.gf2.matrix import mat_vec_mul
-
-        new_origin = mat_vec_mul(rows, self.origin) ^ offset
-        new_basis = [mat_vec_mul(rows, b) for b in self.basis]
+        if len(columns) != self.width:
+            raise ValueError(f"map has {len(columns)} columns for a "
+                             f"{self.width}-bit space")
+        for j, col in enumerate(columns):
+            if col >> out_width:
+                raise ValueError(f"column {j} ({col:#x}) does not fit in "
+                                 f"{out_width} bits")
+        if offset >> out_width:
+            raise ValueError(f"offset {offset:#x} does not fit in "
+                             f"{out_width} bits")
+        new_origin = _apply_columns(columns, self.origin) ^ offset
+        new_basis = [_apply_columns(columns, b) for b in self.basis]
         return AffineSubspace(out_width, new_origin, new_basis)
 
     def __repr__(self) -> str:

@@ -12,11 +12,27 @@ Two pivoting conventions are provided because the library needs both:
 * :func:`rref_msb` pivots on the *highest* set bit, producing the reduced
   basis used to enumerate the numerically smallest elements of an affine
   subspace (see :class:`repro.gf2.affine.AffineSubspace`).
+
+Cost model (``k`` input vectors of width ``w`` spanning dimension ``d``;
+one XOR or popcount of a ``w``-bit int is one word-parallel step):
+
+* :func:`mat_vec_mul` of an ``r``-row matrix: ``r`` popcounts.
+* :func:`rank` and :func:`rref_msb` share one XOR basis keyed by leading
+  bit: inserting a vector costs at most one XOR per basis vector whose
+  leading bit it meets, ``O(k d)`` XORs in all.  :func:`rref_msb`'s
+  back-substitution then runs from the lowest pivot up and XORs only the
+  pivot bits actually set, at most ``d (d - 1) / 2`` XORs.
+* An affine map given in column form (the image of each unit vector, see
+  :meth:`repro.gf2.affine.AffineSubspace.image`) sends ``x`` to its image
+  in ``popcount(x)`` XORs rather than one popcount per output row.  A
+  hash builds its column table once, ``in_bits`` calls to
+  :func:`mat_vec_mul`, so a DNF term's FindMin image costs one XOR per
+  set bit of its origin and basis plus the reduction of the image basis.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import RandomSource
 
@@ -56,20 +72,28 @@ def random_matrix_rows(rng: RandomSource, nrows: int, ncols: int,
     return rows
 
 
+def _xor_basis(vectors: Sequence[int]) -> Dict[int, int]:
+    """An XOR basis of the span of ``vectors``, keyed by leading bit.
+
+    Insertion reduces the candidate by the unique basis vector sharing its
+    leading bit until it is zero or has a fresh leading bit, so keys are
+    ``bit_length()`` values and pairwise distinct.
+    """
+    by_lead: Dict[int, int] = {}
+    for vec in vectors:
+        while vec:
+            lead = vec.bit_length()
+            other = by_lead.get(lead)
+            if other is None:
+                by_lead[lead] = vec
+                break
+            vec ^= other
+    return by_lead
+
+
 def rank(rows: Sequence[int]) -> int:
     """Return the GF(2) rank of the matrix."""
-    # A standard XOR basis indexed by leading-bit position: insertion reduces
-    # the candidate by the unique basis vector sharing its leading bit until
-    # it is zero or has a fresh leading bit.
-    by_lead: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length()
-            if lead not in by_lead:
-                by_lead[lead] = row
-                break
-            row ^= by_lead[lead]
-    return len(by_lead)
+    return len(_xor_basis(rows))
 
 
 def rref_msb(vectors: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -77,27 +101,26 @@ def rref_msb(vectors: Sequence[int]) -> Tuple[List[int], List[int]]:
 
     Returns ``(basis, pivots)`` where ``basis`` is sorted by decreasing pivot
     position, each pivot bit appears in exactly one basis vector, and
-    ``pivots[i]`` is the bit position of ``basis[i]``'s leading bit.
+    ``pivots[i]`` is the bit position of ``basis[i]``'s leading bit.  The
+    reduced form of a span is unique, so the result depends only on the
+    space the vectors span.
     """
-    basis: List[int] = []
-    for vec in vectors:
-        # Forward-reduce by leading bits until independent or zero.
-        changed = True
-        while vec and changed:
-            changed = False
-            for b in basis:
-                if vec.bit_length() == b.bit_length():
-                    vec ^= b
-                    changed = True
-                    break
-        if vec:
-            basis.append(vec)
-    basis.sort(key=int.bit_length, reverse=True)
-    # Back-substitute so each pivot appears only in its own vector.
-    for i in range(len(basis)):
-        for j in range(i):
-            if (basis[j] >> (basis[i].bit_length() - 1)) & 1:
-                basis[j] ^= basis[i]
+    by_lead = _xor_basis(vectors)
+    # Back-substitute from the lowest pivot up: every lower vector is
+    # already reduced, so XORing it in clears its pivot bit without
+    # setting any other pivot bit, and each set pivot bit costs one XOR.
+    by_pivot: Dict[int, int] = {}
+    pivot_mask = 0
+    for lead in sorted(by_lead):
+        vec = by_lead[lead]
+        hits = vec & pivot_mask
+        while hits:
+            bit = hits & -hits
+            vec ^= by_pivot[bit]
+            hits ^= bit
+        by_pivot[1 << (lead - 1)] = vec
+        pivot_mask |= 1 << (lead - 1)
+    basis = list(reversed(by_pivot.values()))
     pivots = [b.bit_length() - 1 for b in basis]
     return basis, pivots
 

@@ -24,6 +24,7 @@ from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.common.bitvec import trailing_zeros
 from repro.common.rng import RandomSource
+from repro.gf2.matrix import mat_vec_mul
 from repro.kernels import get_kernel
 
 try:
@@ -31,10 +32,11 @@ try:
 except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
 
-#: Publication lock for the lazily built packed-row layouts.  Module
-#: level (not per instance): ``LinearHash`` is ``__slots__``-lean and
-#: pickled by the thousands into worker payloads, and the lock is held
-#: only for the compare-and-publish, so contention is nil.
+#: Publication lock for the lazily built packed-row layouts and column
+#: tables.  Module level (not per instance): ``LinearHash`` is
+#: ``__slots__``-lean and pickled by the thousands into worker payloads,
+#: and the lock is held only for the compare-and-publish, so contention
+#: is nil.
 _PACK_LOCK = threading.Lock()
 
 
@@ -131,7 +133,7 @@ class LinearHash:
     """
 
     __slots__ = ("in_bits", "out_bits", "rows", "offsets", "_seed_bits",
-                 "_pack", "kernel")
+                 "_pack", "_columns", "kernel")
 
     is_linear = True
 
@@ -147,18 +149,23 @@ class LinearHash:
         self._seed_bits = (seed_bits if seed_bits is not None
                            else self.out_bits * (in_bits + 1))
         self._pack = None  # Lazily built numpy row/word layout cache.
+        self._columns = None  # Lazily built column table, see columns().
         #: Compute-kernel name for the batched paths (None follows the
         #: registry's override / ``REPRO_KERNEL`` / default resolution).
         self.kernel = kernel
 
     @property
     def seed_bits(self) -> int:
+        """Bits needed to transmit this function (distributed accounting);
+        ``out_bits * (in_bits + 1)`` unless the family stores a shorter
+        seed, as Toeplitz hashing does."""
         return self._seed_bits
 
     def __getstate__(self):
-        # The packed layout is scratch state: dropping it keeps pickles
-        # (worker task payloads, sketch replicas shipped to a process
-        # pool) small, and it is rebuilt lazily on first batch use.
+        # The packed layout and column table are scratch state: dropping
+        # them keeps pickles (worker task payloads, sketch replicas
+        # shipped to a process pool) small, and each is rebuilt lazily on
+        # first use.
         return {"in_bits": self.in_bits, "out_bits": self.out_bits,
                 "rows": self.rows, "offsets": self.offsets,
                 "_seed_bits": self._seed_bits, "kernel": self.kernel}
@@ -168,6 +175,7 @@ class LinearHash:
         for name, value in state.items():
             setattr(self, name, value)
         self._pack = None
+        self._columns = None
 
     def _packed(self):
         """The numpy row layout, built once and reused across chunks:
@@ -208,6 +216,31 @@ class LinearHash:
                 else:
                     pack = self._pack
         return pack
+
+    def columns(self) -> Tuple[int, ...]:
+        """The linear part in column form, in value order: entry ``j`` is
+        ``A e_j`` packed like :meth:`value` (row 0 at the MSB), so
+        ``value(x)`` is the XOR of the columns of ``x``'s set bits with
+        :meth:`packed_offset`.
+
+        Built once per hash with ``in_bits`` calls to
+        :func:`~repro.gf2.matrix.mat_vec_mul` and published like
+        :meth:`_packed`: a cold cache hit concurrently costs at most a
+        duplicate build of an equal table.
+        """
+        columns = self._columns
+        if columns is None:
+            # Row r is output bit (m - 1 - r); mat_vec_mul puts row j of
+            # its argument at bit j, so feed rows in reversed order.
+            reversed_rows = self.rows[::-1]
+            columns = tuple(mat_vec_mul(reversed_rows, 1 << j)
+                            for j in range(self.in_bits))
+            with _PACK_LOCK:
+                if self._columns is None:
+                    self._columns = columns
+                else:
+                    columns = self._columns
+        return columns
 
     def value(self, x: int) -> int:
         """Full hash value, row 0 at the MSB."""
@@ -365,13 +398,12 @@ class LinearHash:
 
         This is the workhorse of FindMin's polynomial-time DNF path
         (Proposition 2): the ``p`` lexicographically smallest hash values of
-        a term are ``image_space(term space).smallest_elements(p)``.
+        a term are ``image_space(term space).smallest_elements(p)``.  The
+        map runs in column form (:meth:`columns`), one XOR per set bit of
+        the space's origin and basis vectors.
         """
-        m = self.out_bits
-        # Row r contributes output bit (m - 1 - r); mat_vec_mul puts row j of
-        # its argument at bit j, so feed rows in reversed order.
-        reversed_rows = list(reversed(self.rows))
-        return space.image(reversed_rows, self.packed_offset(), m)
+        return space.image(self.columns(), self.packed_offset(),
+                           self.out_bits)
 
     def row_slice(self, m: int) -> "LinearHash":
         """The prefix-slice ``h_m`` as a standalone hash function."""

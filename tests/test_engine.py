@@ -28,7 +28,8 @@ from repro.core.est_count import approx_model_count_est
 from repro.core.fm_count import flajolet_martin_count
 from repro.core.min_count import MinimumStrategy, approx_model_count_min
 from repro.core.results import ApproxCountResult
-from repro.formulas.generators import fixed_count_dnf, random_k_cnf
+from repro.formulas.generators import (fixed_count_dnf, random_dnf,
+                                       random_k_cnf)
 from repro.parallel.executor import ProcessExecutor
 from repro.streaming.base import SketchParams
 
@@ -45,6 +46,10 @@ GOLDEN = {
     "est_dnf": (60.397255695274055, 441, "7fa9e7af0110a348"),
     "fm_cnf": (64.0, 32, "5b0884be18e60df7"),
     "fm_dnf": (256.0, 0, "9e299ebe4c1e54fa"),
+    # Multi-term DNF with 3n = 120-bit Minimum hashes, recorded before
+    # the GF(2) layer moved to leading-bit RREF and column-form images.
+    "min_dnf_wide": (98274634337.378, 0, "61d32a81f62dfce6"),
+    "fm_dnf_wide": (137438953472.0, 0, "984ad08f28cc7f53"),
 }
 
 PARAMS = SketchParams(eps=0.8, delta=0.3,
@@ -57,6 +62,10 @@ def _cnf():
 
 def _dnf():
     return fixed_count_dnf(10, 6)
+
+
+def _wide_dnf():
+    return random_dnf(random.Random(5), 40, 6, 6)
 
 
 def _digest(result, sketches):
@@ -78,6 +87,9 @@ def _run_counter(key, **kwargs):
     elif key == "min_dnf":
         r = approx_model_count_min(_dnf(), PARAMS, random.Random(11),
                                    **kwargs)
+    elif key == "min_dnf_wide":
+        r = approx_model_count_min(_wide_dnf(), PARAMS, random.Random(11),
+                                   **kwargs)
     elif key == "est_cnf":
         r = approx_model_count_est(_cnf(), PARAMS, random.Random(13),
                                    **kwargs)
@@ -87,8 +99,11 @@ def _run_counter(key, **kwargs):
     elif key == "fm_cnf":
         r = flajolet_martin_count(_cnf(), random.Random(17),
                                   repetitions=7, **kwargs)
-    else:
+    elif key == "fm_dnf":
         r = flajolet_martin_count(_dnf(), random.Random(17),
+                                  repetitions=7, **kwargs)
+    else:
+        r = flajolet_martin_count(_wide_dnf(), random.Random(17),
                                   repetitions=7, **kwargs)
     if key.startswith("fm"):
         blob = repr((r.estimate, r.oracle_calls, tuple(r.max_levels)))
@@ -110,7 +125,8 @@ class TestPreRefactorGoldens:
         assert _run_counter(key) == GOLDEN[key]
 
     @pytest.mark.parametrize("key", ["amc_cnf", "min_cnf", "est_cnf",
-                                     "fm_cnf"])
+                                     "fm_cnf", "min_dnf_wide",
+                                     "fm_dnf_wide"])
     def test_four_workers_bit_identical(self, key, pool):
         assert _run_counter(key, executor=pool) == GOLDEN[key]
 

@@ -20,6 +20,11 @@ def small_system(draw):
     return rows, rhs, width
 
 
+def columns_of(map_rows, width):
+    """Column form of a row-form matrix: the image of each unit vector."""
+    return [mat_vec_mul(map_rows, 1 << j) for j in range(width)]
+
+
 def brute_force_solutions(rows, rhs, width):
     out = set()
     for x in range(1 << width):
@@ -41,8 +46,12 @@ class TestConstruction:
         assert list(space) == [0b10110]
 
     def test_origin_out_of_width_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="origin 0x8 "):
             AffineSubspace(3, 0b1000, [])
+
+    def test_basis_vector_out_of_width_rejected(self):
+        with pytest.raises(ValueError, match="basis vector 0x20 "):
+            AffineSubspace(4, 0, [1 << 5, 1])
 
     @given(small_system())
     def test_solve_matches_bruteforce(self, data):
@@ -123,7 +132,7 @@ class TestImage:
         map_rows = [draw.draw(st.integers(0, (1 << width) - 1))
                     for _ in range(out_width)]
         offset = draw.draw(st.integers(0, (1 << out_width) - 1))
-        image = space.image(map_rows, offset, out_width)
+        image = space.image(columns_of(map_rows, width), offset, out_width)
         expected = {mat_vec_mul(map_rows, x) ^ offset for x in space}
         assert set(image) == expected
 
@@ -131,7 +140,22 @@ class TestImage:
         rng = random.Random(7)
         space = AffineSubspace.full_space(6)
         matrix = ToeplitzMatrix.random(rng, 10, 6)
-        image = space.image(matrix.rows, 0, 10)
+        image = space.image(columns_of(matrix.rows, 6), 0, 10)
         assert set(image) == {mat_vec_mul(matrix.rows, x) for x in range(64)}
         # Image dimension equals the rank of the Toeplitz matrix.
         assert image.dimension <= 6
+
+    def test_offset_out_of_width_rejected(self):
+        space = AffineSubspace.full_space(2)
+        with pytest.raises(ValueError, match="offset 0x10 "):
+            space.image([0b01, 0b10], 1 << 4, 4)
+
+    def test_column_out_of_width_rejected(self):
+        space = AffineSubspace.full_space(2)
+        with pytest.raises(ValueError, match="column 1 "):
+            space.image([0b01, 0b100], 0, 2)
+
+    def test_column_count_must_match_width(self):
+        space = AffineSubspace.full_space(3)
+        with pytest.raises(ValueError, match="2 columns for a 3-bit"):
+            space.image([0b01, 0b10], 0, 2)

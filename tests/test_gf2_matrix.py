@@ -120,6 +120,48 @@ class TestRrefMsb:
         assert len(basis) == rank(vectors)
 
 
+@st.composite
+def dependent_vectors(draw):
+    """Vectors of width 1..300 whose span is smaller than their count:
+    random generators followed by XOR combinations of them, shuffled."""
+    width = draw(st.integers(1, 300))
+    gens = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
+    combos = []
+    if gens:
+        for mask in draw(st.lists(st.integers(0, (1 << len(gens)) - 1),
+                                  max_size=12)):
+            vec = 0
+            for i, g in enumerate(gens):
+                if (mask >> i) & 1:
+                    vec ^= g
+            combos.append(vec)
+    return width, draw(st.permutations(gens + combos))
+
+
+class TestXorBasis:
+    @given(dependent_vectors())
+    @settings(max_examples=200)
+    def test_rref_is_canonical_and_spans_input(self, data):
+        width, vectors = data
+        basis, pivots = rref_msb(vectors)
+        # Canonical RREF: leading bits are the pivots, strictly decreasing,
+        # and each pivot bit is set in its own vector only.
+        assert pivots == [b.bit_length() - 1 for b in basis]
+        assert all(a > b for a, b in zip(pivots, pivots[1:]))
+        assert all(b >> width == 0 for b in basis)
+        for i, p in enumerate(pivots):
+            assert [(b >> p) & 1 for b in basis] == \
+                [int(i == j) for j in range(len(basis))]
+        # Same span: every input reduces to zero, and the basis adds no
+        # dimension to the input.
+        for v in vectors:
+            assert reduce_modulo_basis(v, basis) == 0
+        assert rank(vectors) == len(basis) == rank(list(vectors) + basis)
+        # The reduced form depends only on the span.
+        assert rref_msb(basis) == (basis, pivots)
+        assert rref_msb(list(reversed(vectors)) + basis)[0] == basis
+
+
 class TestSolveAffineSystem:
     def test_inconsistent(self):
         # x1 = 0 and x1 = 1.

@@ -8,9 +8,10 @@ Four pillars:
   with friendly errors.
 * **Pickle boundaries** -- every F0 sketch (and the cell-search engine's
   inputs) survives a pickle round-trip with identical behaviour, and
-  lazily built scratch state (the ``LinearHash`` packed layout) stays
-  out of the payload *and* builds safely under concurrent cold-cache
-  hits (thread executors share hash objects by reference).
+  lazily built scratch state (the ``LinearHash`` packed layout and
+  column table) stays out of the payload *and* builds safely under
+  concurrent cold-cache hits (thread executors share hash objects by
+  reference).
 * **Parallel == serial** -- for fixed seeds, ``workers=1`` and
   ``workers=4`` produce identical estimates and identical
   per-repetition results across all sketches and counters, including
@@ -34,7 +35,8 @@ from repro.core.cell_search import cell_search_for
 from repro.core.est_count import approx_model_count_est
 from repro.core.fm_count import flajolet_martin_count
 from repro.core.min_count import approx_model_count_min
-from repro.formulas.generators import fixed_count_dnf, random_k_cnf
+from repro.formulas.generators import (fixed_count_dnf, random_dnf,
+                                       random_k_cnf)
 from repro.hashing.kwise import KWiseHashFamily
 from repro.hashing.toeplitz import ToeplitzHashFamily
 from repro.kernels import kernel_info, kernel_names
@@ -196,6 +198,17 @@ class TestPickleRoundTrip:
         assert restored.value(12345) == h.value(12345)
         assert [int(v) for v in restored.values_batch(range(10))] \
             == [h.value(x) for x in range(10)]
+
+    def test_linear_hash_column_table_excluded_from_pickle(self):
+        h = ToeplitzHashFamily(40, 120).sample(random.Random(2))
+        cold = len(pickle.dumps(h))
+        columns = h.columns()  # Warm the column table.
+        assert h._columns is columns
+        assert "_columns" not in h.__getstate__()
+        assert len(pickle.dumps(h)) == cold
+        restored = pickle.loads(pickle.dumps(h))
+        assert restored._columns is None
+        assert restored.columns() == columns
 
     def test_kwise_hash_round_trip(self):
         h = KWiseHashFamily(12, 4).sample(random.Random(2))
@@ -484,8 +497,9 @@ class TestExecutorRegistry:
 
 
 class TestPackedCacheConcurrency:
-    """The ``LinearHash._packed`` cold-cache race fix: concurrent first
-    uses must all see a fully built layout and identical hash values."""
+    """The ``LinearHash._packed`` and ``columns`` cold-cache race fix:
+    concurrent first uses must all see a fully built layout or table and
+    identical hash values."""
 
     HAMMER_THREADS = 8
 
@@ -523,6 +537,28 @@ class TestPackedCacheConcurrency:
             # Exactly one pack object won the publish: a complete dict.
             assert set(h._pack) == {"rows", "shifts", "cols", "words",
                                     "offset_words"}
+
+    def test_concurrent_cold_column_builds_are_equal(self):
+        for trial in range(10):
+            h = ToeplitzHashFamily(40, 120).sample(random.Random(trial))
+            assert h._columns is None  # Cold: every thread races the build.
+            barrier = threading.Barrier(self.HAMMER_THREADS)
+            tables = [None] * self.HAMMER_THREADS
+
+            def worker(slot):
+                barrier.wait(timeout=10)
+                tables[slot] = h.columns()
+
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(self.HAMMER_THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            offset = h.packed_offset()
+            reference = tuple(h.value(1 << j) ^ offset for j in range(40))
+            assert all(table == reference for table in tables)
+            assert h._columns == reference
 
     def test_publish_is_single_assignment(self):
         """Readers may race the builder but must only ever observe None
@@ -607,6 +643,18 @@ class TestExecutorMatrixParity:
         reference = ingest(None)  # Serial.
         assert ingest(thread_pool) == reference
         assert ingest(pool) == reference
+
+    def test_dnf_min_count_identical_across_executors(self, pool,
+                                                      thread_pool):
+        """The column-form DNF FindMin path on a multi-term DNF with
+        120-bit hashes: thread tasks share hash objects (and their column
+        tables) by reference, process tasks rebuild them from pickles."""
+        formula = random_dnf(random.Random(5), 40, 6, 6)
+        run = COUNTER_RUNNERS["min"]
+        reference = _result_tuple(run(formula, None))
+        assert _result_tuple(run(formula, None, executor=thread_pool)) \
+            == reference
+        assert _result_tuple(run(formula, None, executor=pool)) == reference
 
     def test_counter_thread_via_registry_env(self, monkeypatch):
         """workers=4 + REPRO_EXECUTOR=thread exercises the registry
