@@ -8,14 +8,13 @@ already found.  The engine (`repro.core.cell_search.CellSearchEngine`)
 keeps one solver per repetition, selects levels via assumptions, caches
 models across levels, and enumerates by continuation.
 
-Three configurations, identical sketches by construction:
+Two configurations, identical sketches by construction:
 
 * ``seed``  -- the pre-engine baseline, reproduced verbatim: fresh
   session per probe, full-width blocking clause and search restart per
   model (what ``_cell_count`` did before this engine existed);
-* ``fresh`` -- today's one-shot path (``incremental=False``): still a
-  fresh solver per probe, but with the improved enumeration;
-* ``engine`` -- the incremental engine (``incremental=True``).
+* ``engine`` -- the incremental engine, the only CNF cell search
+  ``cell_search_for`` builds.
 
 Reported per instance and strategy: wall-clock, NP-oracle calls, and
 probes/sec.  The headline claim: the engine is >= 3x faster than the
@@ -74,8 +73,7 @@ def _run(formula, hashes, strategy, mode):
             cells = SeedCellSearch(formula, h, BENCH_PARAMS.thresh, oracle)
         else:
             cells = cell_search_for(formula, h, BENCH_PARAMS.thresh,
-                                    oracle=oracle,
-                                    incremental=(mode == "engine"))
+                                    oracle=oracle)
         sketches.append(find_level(cells))
         probes += len(cells.request_log)
     elapsed = time.perf_counter() - start
@@ -98,18 +96,16 @@ def run_comparison():
         for strategy in ("linear", "binary", "galloping"):
             seed_sk, seed_t, seed_calls, seed_probes = _run(
                 formula, hashes, strategy, "seed")
-            fresh_sk, fresh_t, _fresh_calls, _ = _run(
-                formula, hashes, strategy, "fresh")
             eng_sk, eng_t, eng_calls, eng_probes = _run(
                 formula, hashes, strategy, "engine")
-            assert seed_sk == fresh_sk == eng_sk, (
+            assert seed_sk == eng_sk, (
                 f"sketches diverged on {name}/{strategy}")
             assert eng_calls <= seed_calls, (
                 f"engine must not charge more NP calls ({name}/{strategy})")
             speedup = seed_t / eng_t
             speedups.append((name, strategy, speedup))
             rows.append((f"{name}/{strategy}",
-                         seed_t, fresh_t, eng_t,
+                         seed_t, eng_t,
                          seed_calls, eng_calls,
                          seed_probes / seed_t, eng_probes / eng_t,
                          speedup))
@@ -121,14 +117,14 @@ def test_e23_incremental_engine(benchmark, capsys):
     table = format_table(
         "E23  Incremental cell-search engine vs fresh-solver BoundedSAT "
         "(identical sketches)",
-        ["instance/strategy", "seed s", "fresh s", "engine s",
+        ["instance/strategy", "seed s", "engine s",
          "seed calls", "engine calls", "seed probes/s", "engine probes/s",
          "speedup"],
         rows,
     )
     table += ("\n\nseed = fresh solver + restart enumeration per probe "
-              "(pre-engine behaviour); fresh = one-shot path today; "
-              "engine = shared solver, assumption levels, model cache.\n"
+              "(pre-engine behaviour); engine = shared solver, "
+              "assumption levels, model cache.\n"
               "headline: engine >= 3x over the seed baseline on CNF level "
               "search.")
     emit(capsys, "e23_incremental", table)

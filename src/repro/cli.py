@@ -388,91 +388,35 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workers_arg(text: str) -> int:
-    """Parse ``--workers`` with a friendly message instead of a traceback
-    deep inside the executor layer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            "workers must be >= 0 (1 = serial, 0 = all cores)")
-    return value
+def _bounded_arg(kind: type, lower: float, strict: bool, message: str):
+    """An argparse ``type`` parsing ``kind`` and rejecting values below
+    ``lower`` (or equal to it when ``strict``) with ``message``: a
+    one-line usage error instead of a traceback from deep inside the
+    layer that would reject the value later."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}")
+        if value < lower or (strict and value == lower):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
 
 
-def _procs_arg(text: str) -> int:
-    """Parse ``--procs`` with a friendly message."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            "procs must be >= 0 (0 = all cores)")
-    return value
-
-
-def _delta_interval_arg(text: str) -> float:
-    """Parse ``--delta-interval`` with a friendly message."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            "delta interval must be >= 0 seconds (0 = publish "
-            "immediately)")
-    return value
-
-
-def _window_arg(text: str) -> float:
-    """Parse ``--window`` with a friendly message."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            "window must be > 0 time units")
-    return value
-
-
-def _buckets_arg(text: str) -> int:
-    """Parse ``--buckets`` with a friendly message."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "buckets must be >= 1 ring buckets")
-    return value
-
-
-def _sweep_interval_arg(text: str) -> float:
-    """Parse ``--sweep-interval`` with a friendly message."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            "sweep interval must be > 0 seconds")
-    return value
-
-
-def _chunk_size_arg(text: str) -> int:
-    """Parse ``--chunk-size`` with a friendly message instead of an
-    InvalidParameterError traceback from deep inside ``chunked``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            "chunk size must be a positive integer")
-    return value
+_workers_arg = _bounded_arg(
+    int, 0, False, "workers must be >= 0 (1 = serial, 0 = all cores)")
+_procs_arg = _bounded_arg(int, 0, False, "procs must be >= 0 (0 = all cores)")
+_delta_interval_arg = _bounded_arg(
+    float, 0, False,
+    "delta interval must be >= 0 seconds (0 = publish immediately)")
+_window_arg = _bounded_arg(float, 0, True, "window must be > 0 time units")
+_buckets_arg = _bounded_arg(int, 1, False, "buckets must be >= 1 ring buckets")
+_sweep_interval_arg = _bounded_arg(
+    float, 0, True, "sweep interval must be > 0 seconds")
+_chunk_size_arg = _bounded_arg(
+    int, 0, True, "chunk size must be a positive integer")
 
 
 def _input_file_arg(text: str) -> str:
@@ -489,6 +433,7 @@ def _input_file_arg(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser: one subcommand per verb."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Model counting meets F0 estimation (PODS 2021)")

@@ -19,10 +19,10 @@ All strategies produce identical sketches for the same hash functions.
 
 Probes go through :class:`repro.core.cell_search.CellSearch`: per-level
 counts are memoised within a repetition (no level is ever paid for twice,
-matching Proposition 1's accounting) and, on the default incremental CNF
-engine, all probes of a repetition share one persistent solver whose
-enumerated models seed deeper levels.  ``incremental=False`` restores the
-fresh-solver-per-probe baseline that benchmark E23 measures against.
+matching Proposition 1's accounting) and, on CNF, all probes of a
+repetition share the incremental engine's one persistent solver, whose
+enumerated models seed deeper levels (benchmark E23 measures the gain
+over a fresh solver per probe).
 
 The repetition loop itself lives in :class:`repro.core.engine.
 RepetitionEngine`; this module contributes only the
@@ -133,7 +133,6 @@ class BucketingStrategy(CounterStrategy):
     thresh: int
     repetitions: int
     search: SearchStrategy = "linear"
-    incremental: bool = True
     backend: Optional[str] = None
     kernel: Optional[str] = None
     #: Caller-supplied hash functions (the sketch-equivalence experiment
@@ -156,8 +155,7 @@ class BucketingStrategy(CounterStrategy):
         oracle = (NpOracle(self.formula, backend=self.backend,
                            kernel=self.kernel)
                   if isinstance(self.formula, CnfFormula) else None)
-        cells = cell_search_for(self.formula, h, self.thresh, oracle=oracle,
-                                incremental=self.incremental)
+        cells = cell_search_for(self.formula, h, self.thresh, oracle=oracle)
         count, level = _STRATEGIES[self.search](cells)
         return (count, level), oracle.calls if oracle is not None else 0
 
@@ -173,7 +171,6 @@ def approx_mc(
     rng: RandomSource,
     search: SearchStrategy = "linear",
     hashes: Optional[Sequence[LinearHash]] = None,
-    incremental: bool = True,
     workers: int = 1,
     executor: Optional[Executor] = None,
     backend: Optional[str] = None,
@@ -198,9 +195,6 @@ def approx_mc(
         hashes: pre-sampled hash functions overriding the family draw
             (the sketch-equivalence experiments feed the streaming
             side's functions here).
-        incremental: share one persistent solver session per repetition
-            across levels (the E23 engine); ``False`` restores the
-            fresh-solver-per-probe baseline.
         workers: fan repetitions over a process pool (``0`` = all
             cores); estimates, per-repetition sketches and oracle-call
             totals are bit-identical to serial.
@@ -224,7 +218,6 @@ def approx_mc(
     strategy = BucketingStrategy(
         formula=formula, thresh=params.thresh,
         repetitions=params.repetitions, search=search,
-        incremental=incremental, backend=backend, kernel=kernel,
-        hashes=hashes)
+        backend=backend, kernel=kernel, hashes=hashes)
     return RepetitionEngine(strategy).run(rng, workers=workers,
                                           executor=executor)

@@ -26,10 +26,12 @@ engineering described in DESIGN.md, "Incremental cell search"):
   (the probe hit UNSAT below ``thresh``), every *deeper* cell is a subset
   of the cache and is counted with zero oracle calls.
 
-All implementations report ``min(thresh, |cell(m)|)`` exactly, so the
-engine, the fresh-solver baseline and the polynomial DNF path produce
-identical sketches for identical hash functions; only the oracle-call and
-wall-clock costs differ (benchmark E23 measures the gap).
+Both implementations -- the engine and the polynomial
+:class:`DnfCellSearch` -- report ``min(thresh, |cell(m)|)`` exactly, so
+they produce the same sketches as one-shot :func:`repro.core.bounded_sat.
+bounded_sat_cnf` probes for identical hash functions; only the oracle-call
+and wall-clock costs differ (benchmark E23 measures the gap against a
+per-probe fresh-solver baseline).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import abc
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import InvalidParameterError
-from repro.core.bounded_sat import bounded_sat_cnf, bounded_sat_dnf
+from repro.core.bounded_sat import bounded_sat_dnf
 from repro.formulas.cnf import CnfFormula
 from repro.formulas.dnf import DnfFormula
 from repro.hashing.base import LinearHash
@@ -198,33 +200,11 @@ class CellSearchEngine(CellSearch):
         return len(found)
 
     def models(self, m: int, p: int) -> List[int]:
+        """Up to ``p`` members of the level-``m`` cell, cache first."""
         if p < 0:
             raise InvalidParameterError("p must be non-negative")
         found, _exact = self._enumerate(m, p)
         return found[:p]
-
-
-class FreshSolverCellSearch(CellSearch):
-    """The pre-engine baseline: every probe builds a new solver and
-    re-enumerates the cell from scratch via :func:`bounded_sat_cnf`.
-
-    Kept for the E23 benchmark and the equivalence tests; the per-level
-    memo still applies, so strategy-level probe discipline is identical
-    to the engine's.
-    """
-
-    def __init__(self, formula: CnfFormula, h: LinearHash, thresh: int,
-                 oracle: NpOracle, target: int = 0) -> None:
-        super().__init__(h, thresh, target)
-        self.formula = formula
-        self.oracle = oracle
-
-    def _count_uncached(self, m: int) -> int:
-        return len(self.models(m, self.thresh))
-
-    def models(self, m: int, p: int) -> List[int]:
-        return bounded_sat_cnf(self.oracle, self.h, m, p,
-                               target=self.target_prefix(m))
 
 
 class DnfCellSearch(CellSearch):
@@ -239,6 +219,8 @@ class DnfCellSearch(CellSearch):
         return len(self.models(m, self.thresh))
 
     def models(self, m: int, p: int) -> List[int]:
+        """Up to ``p`` members of the level-``m`` cell, via the per-term
+        affine intersection of :func:`bounded_sat_dnf`."""
         return bounded_sat_dnf(self.formula, self.h, m, p,
                                target=self.target_prefix(m))
 
@@ -246,17 +228,16 @@ class DnfCellSearch(CellSearch):
 def cell_search_for(formula: Formula, h: LinearHash, thresh: int,
                     oracle: Optional[NpOracle] = None,
                     target: int = 0,
-                    incremental: bool = True,
                     backend: Optional[str] = None,
                     kernel: Optional[str] = None) -> CellSearch:
     """Pick the cell-search implementation for a formula representation.
 
-    ``incremental=False`` selects the fresh-solver CNF baseline (the DNF
-    path is polynomial either way and has no incremental variant).  On
-    the CNF path the probes ride whatever solver backend the supplied
-    ``oracle`` resolves (:mod:`repro.sat.backends`); alternatively pass a
-    ``backend`` name and a fresh :class:`NpOracle` is opened on it --
-    its call count stays readable as ``cells.oracle.calls``.  ``kernel``
+    DNF gets the polynomial :class:`DnfCellSearch`; CNF gets the
+    incremental :class:`CellSearchEngine`.  On the CNF path the probes
+    ride whatever solver backend the supplied ``oracle`` resolves
+    (:mod:`repro.sat.backends`); alternatively pass a ``backend`` name
+    and a fresh :class:`NpOracle` is opened on it -- its call count
+    stays readable as ``cells.oracle.calls``.  ``kernel``
     names the compute kernel for that freshly opened oracle (ignored
     when an ``oracle`` is supplied; the oracle already carries one).
     """
@@ -268,5 +249,4 @@ def cell_search_for(formula: Formula, h: LinearHash, thresh: int,
                 "cell search on CNF requires an NpOracle (or a backend "
                 "name to open one on)")
         oracle = NpOracle(formula, backend=backend, kernel=kernel)
-    cls = CellSearchEngine if incremental else FreshSolverCellSearch
-    return cls(formula, h, thresh, oracle, target)
+    return CellSearchEngine(formula, h, thresh, oracle, target)

@@ -30,8 +30,9 @@ _MAX_BRUTEFORCE_BITS = 24
 _MAX_SUBSET_TERMS = 18
 
 
-def cnf_models_numpy(formula: CnfFormula) -> List[int]:
-    """All models of a CNF by vectorised brute force (``n <= 24``)."""
+def _cnf_sat_mask(formula: CnfFormula) -> np.ndarray:
+    """Boolean mask over all ``2^n`` assignments (index = assignment,
+    bit ``v-1`` = var ``v``): True where every clause is satisfied."""
     n = formula.num_vars
     if n > _MAX_BRUTEFORCE_BITS:
         raise InvalidParameterError(
@@ -44,7 +45,12 @@ def cnf_models_numpy(formula: CnfFormula) -> List[int]:
             bit = (xs >> np.uint32(abs(lit) - 1)) & np.uint32(1)
             clause_sat |= (bit == np.uint32(1 if lit > 0 else 0))
         sat &= clause_sat
-    return [int(x) for x in xs[sat]]
+    return sat
+
+
+def cnf_models_numpy(formula: CnfFormula) -> List[int]:
+    """All models of a CNF by vectorised brute force (``n <= 24``)."""
+    return np.flatnonzero(_cnf_sat_mask(formula)).tolist()
 
 
 def exact_cnf_count(formula: CnfFormula,
@@ -55,25 +61,12 @@ def exact_cnf_count(formula: CnfFormula,
     true count exceeds it) so callers cannot accidentally loop forever.
     """
     if formula.num_vars <= _MAX_BRUTEFORCE_BITS:
-        return _count_cnf_numpy(formula)
+        return int(_cnf_sat_mask(formula).sum())
     models = NpOracle(formula).enumerate_models(limit=enumeration_cap)
     if enumeration_cap is not None and len(models) >= enumeration_cap:
         raise InvalidParameterError(
             f"model count exceeds enumeration cap {enumeration_cap}")
     return len(models)
-
-
-def _count_cnf_numpy(formula: CnfFormula) -> int:
-    n = formula.num_vars
-    xs = np.arange(1 << n, dtype=np.uint32)
-    sat = np.ones(1 << n, dtype=bool)
-    for clause in formula.clauses:
-        clause_sat = np.zeros(1 << n, dtype=bool)
-        for lit in clause:
-            bit = (xs >> np.uint32(abs(lit) - 1)) & np.uint32(1)
-            clause_sat |= (bit == np.uint32(1 if lit > 0 else 0))
-        sat &= clause_sat
-    return int(sat.sum())
 
 
 def exact_dnf_count(formula: DnfFormula) -> int:

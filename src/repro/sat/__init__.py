@@ -16,8 +16,8 @@ This package is the reproduction's substitute for the paper's NP oracle
 * :mod:`repro.sat.backends` -- the registry of pluggable solver backends
   every ``NpOracle`` session resolves (``cdcl``, ``bruteforce``, and a
   ``pysat`` adapter when python-sat is installed).
-* :mod:`repro.sat.bruteforce` -- an exhaustive reference solver used by the
-  test suite.
+* :mod:`repro.sat.bruteforce` -- the exhaustive reference enumerator used
+  by the test suite.
 """
 
 from repro.sat.backends import (
@@ -30,7 +30,7 @@ from repro.sat.backends import (
     has_backend,
     register_backend,
 )
-from repro.sat.bruteforce import brute_force_models, brute_force_solve
+from repro.sat.bruteforce import brute_force_models
 from repro.sat.encode_xor import xor_to_cnf_clauses
 from repro.sat.oracle import (
     EnumerationOracle,
@@ -52,7 +52,6 @@ __all__ = [
     "backend_info",
     "backend_names",
     "brute_force_models",
-    "brute_force_solve",
     "create_solver",
     "has_backend",
     "oracle_for",

@@ -15,10 +15,9 @@ enumeration, preserving the query-count semantics (see DESIGN.md, section
 "Oracle substitution table").
 
 Repeated BoundedSAT probes against nested cells of one hash should not go
-through one-shot sessions: :meth:`NpOracle.cell_search` opens the
-incremental :class:`~repro.core.cell_search.CellSearchEngine`, which
-shares a single session across all levels (DESIGN.md, section
-"Incremental cell search").
+through one-shot sessions: the incremental
+:class:`~repro.core.cell_search.CellSearchEngine` drives a single session
+across all levels (DESIGN.md, section "Incremental cell search").
 
 Which solver answers the oracle's queries is a *registry* choice, not a
 hard-wired import: ``NpOracle(formula, backend="bruteforce")`` resolves
@@ -203,14 +202,6 @@ class NpOracle:
         """Open an incremental context (formula + fixed XOR constraints)."""
         return OracleSession(self, xors)
 
-    def cell_search(self, h: LinearHash, thresh: int, target: int = 0):
-        """Open an incremental cell-search engine over this oracle: one
-        persistent session whose level probes run on assumptions and whose
-        enumerated models are cached across levels (Proposition 1's probes
-        without per-probe solver rebuilds)."""
-        from repro.core.cell_search import CellSearchEngine
-        return CellSearchEngine(self.formula, h, thresh, self, target)
-
     def is_satisfiable(self, xors: Iterable[XorConstraint] = (),
                        assumptions: Sequence[int] = ()) -> bool:
         """One-shot satisfiability query (one call)."""
@@ -275,8 +266,8 @@ class EnumerationOracle:
         """Enumerate a CNF's models (vectorised brute force when the
         variable count permits, else an uncounted solver loop on the
         named oracle backend and compute kernel)."""
-        if formula.num_vars <= 24 and limit is None:
-            from repro.core.exact import cnf_models_numpy
+        from repro.core.exact import _MAX_BRUTEFORCE_BITS, cnf_models_numpy
+        if formula.num_vars <= _MAX_BRUTEFORCE_BITS and limit is None:
             return cls(cnf_models_numpy(formula))
         oracle = NpOracle(formula, backend=backend, kernel=kernel)
         models = oracle.enumerate_models(limit=limit)

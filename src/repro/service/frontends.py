@@ -320,7 +320,12 @@ class AsyncioFrontend:
         try:
             length = int(headers.get("content-length", 0) or 0)
         except ValueError:
-            length = 0
+            # The body's extent is unknown: reading on would parse it as
+            # the next request, so reply and drop the connection.
+            await self._write_response(
+                writer, _error_response(400, "malformed Content-Length"),
+                keep_alive=False)
+            return None
         if length < 0 or length > MAX_BODY_BYTES:
             await self._write_response(
                 writer, _error_response(413, "request body too large"),

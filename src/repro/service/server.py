@@ -51,11 +51,12 @@ class F0ServiceHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(fmt, *args)
 
-    def _content_length(self) -> int:
+    def _content_length(self) -> Optional[int]:
+        """The declared body length; None when the header is malformed."""
         try:
             return int(self.headers.get("Content-Length", 0) or 0)
         except (TypeError, ValueError):
-            return 0
+            return None
 
     def _drain_body(self) -> None:
         """Consume an unread request body before replying.
@@ -68,7 +69,7 @@ class F0ServiceHandler(BaseHTTPRequestHandler):
             return
         self._body_consumed = True
         length = self._content_length()
-        if length < 0 or length > MAX_BODY_BYTES:
+        if length is None or length < 0 or length > MAX_BODY_BYTES:
             self.close_connection = True
         elif length:
             self.rfile.read(length)
@@ -87,16 +88,21 @@ class F0ServiceHandler(BaseHTTPRequestHandler):
 
     # -- dispatch ----------------------------------------------------------
 
+    def _reject(self, status: int, payload: bytes) -> None:
+        """Reply and drop the connection without reading the body, so
+        the unread bytes cannot masquerade as the next request."""
+        self._body_consumed = True
+        self.close_connection = True
+        self._send(status, payload, "application/json")
+
     def _route(self, method: str) -> None:
         self._body_consumed = False  # Handler persists across keep-alive.
         length = self._content_length()
+        if length is None:
+            self._reject(400, b'{"error": "malformed Content-Length"}')
+            return
         if length < 0 or length > MAX_BODY_BYTES:
-            # Too large to drain: drop the connection after replying so
-            # the unread body cannot masquerade as the next request.
-            self._body_consumed = True
-            self.close_connection = True
-            self._send(413, b'{"error": "request body too large"}',
-                       "application/json")
+            self._reject(413, b'{"error": "request body too large"}')
             return
         body = self.rfile.read(length) if length else b""
         self._body_consumed = True

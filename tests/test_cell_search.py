@@ -1,10 +1,10 @@
 """Tests for the incremental cell-search engine (`repro.core.cell_search`).
 
-The engine must be *indistinguishable* from the one-shot BoundedSAT path
-in everything except cost: identical counts, identical ApproxMC sketches
-across all three search strategies on CNF and DNF, oracle-call counts no
-worse than the non-incremental path, and strict probe discipline (level 0
-exactly once per repetition)."""
+The engine must be *indistinguishable* from one-shot BoundedSAT probes
+(:func:`bounded_sat_cnf`) in everything except cost: identical counts,
+identical ApproxMC sketches across all three search strategies on CNF and
+DNF, oracle-call counts no worse than replaying the same probes one-shot,
+and strict probe discipline (level 0 exactly once per repetition)."""
 
 import random
 
@@ -18,7 +18,6 @@ from repro.core.bounded_sat import bounded_sat_cnf, bounded_sat_dnf
 from repro.core.cell_search import (
     CellSearchEngine,
     DnfCellSearch,
-    FreshSolverCellSearch,
     HashedSession,
     cell_search_for,
 )
@@ -110,9 +109,6 @@ class TestEngineCounts:
         oracle = NpOracle(cnf)
         assert isinstance(cell_search_for(cnf, h, 4, oracle),
                           CellSearchEngine)
-        assert isinstance(cell_search_for(cnf, h, 4, oracle,
-                                          incremental=False),
-                          FreshSolverCellSearch)
         assert isinstance(cell_search_for(dnf, h, 4), DnfCellSearch)
 
     def test_dnf_cell_search_matches_bounded_sat(self):
@@ -137,18 +133,23 @@ def _cnf_hashes(reps):
 
 class TestStrategyEquivalence:
     def test_incremental_matches_one_shot_all_strategies_cnf(self):
+        # Each repetition's (count, level) is what one-shot BoundedSAT
+        # reports at that level, and the level is the threshold crossing.
         formula = _cnf_instance()
         hashes = _cnf_hashes(PARAMS.repetitions)
+        thresh = PARAMS.thresh
+
+        def one_shot(h, m):
+            return len(bounded_sat_cnf(NpOracle(formula), h, m, thresh))
+
         for strategy in ("linear", "binary", "galloping"):
-            results = {
-                inc: approx_mc(formula, PARAMS, random.Random(3),
-                               search=strategy, hashes=hashes,
-                               incremental=inc)
-                for inc in (True, False)
-            }
-            assert results[True].iteration_sketches == \
-                results[False].iteration_sketches, strategy
-            assert results[True].estimate == results[False].estimate
+            result = approx_mc(formula, PARAMS, random.Random(3),
+                               search=strategy, hashes=hashes)
+            for (count, level), h in zip(result.iteration_sketches, hashes):
+                assert count == one_shot(h, level), strategy
+                assert count < thresh or level == h.out_bits, strategy
+                if level:
+                    assert one_shot(h, level - 1) >= thresh, strategy
 
     def test_all_strategies_identical_sketches_cnf(self):
         formula = _cnf_instance()
@@ -175,15 +176,18 @@ class TestStrategyEquivalence:
 
 class TestOracleCallAccounting:
     def test_incremental_no_worse_than_one_shot(self):
+        # Replay each repetition's distinct probes through one-shot
+        # BoundedSAT on a separate oracle: the engine never pays more.
         formula = _cnf_instance()
-        hashes = _cnf_hashes(PARAMS.repetitions)
-        for strategy in ("linear", "binary", "galloping"):
-            inc = approx_mc(formula, PARAMS, random.Random(7),
-                            search=strategy, hashes=hashes)
-            fresh = approx_mc(formula, PARAMS, random.Random(7),
-                              search=strategy, hashes=hashes,
-                              incremental=False)
-            assert inc.oracle_calls <= fresh.oracle_calls, strategy
+        for strategy, find_level in _STRATEGIES.items():
+            for h in _cnf_hashes(PARAMS.repetitions):
+                oracle = NpOracle(formula)
+                cells = cell_search_for(formula, h, PARAMS.thresh, oracle)
+                find_level(cells)
+                replay = NpOracle(formula)
+                for m in dict.fromkeys(cells.request_log):
+                    bounded_sat_cnf(replay, h, m, PARAMS.thresh)
+                assert oracle.calls <= replay.calls, strategy
 
     def test_sublinear_strategies_beat_linear(self):
         # Proposition 1 accounting: with memoised probes, binary and

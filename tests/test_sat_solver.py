@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.formulas.cnf import CnfFormula
 from repro.formulas.generators import planted_k_cnf, random_k_cnf
 from repro.formulas.xor_constraint import XorConstraint
-from repro.sat.bruteforce import brute_force_models, brute_force_solve
+from repro.sat.bruteforce import brute_force_models
 from repro.sat.encode_xor import xor_to_cnf_clauses
 from repro.sat.solver import CdclSolver, _luby
 
@@ -105,7 +105,7 @@ class TestAgainstBruteForce:
     @given(cnf_instance())
     @settings(max_examples=200, deadline=None)
     def test_sat_decision_matches(self, cnf):
-        expected = brute_force_solve(cnf) is not None
+        expected = bool(brute_force_models(cnf))
         solver = CdclSolver.from_cnf(cnf)
         got = solver.solve()
         assert got == expected
@@ -116,7 +116,7 @@ class TestAgainstBruteForce:
     @settings(max_examples=200, deadline=None)
     def test_cnf_xor_decision_matches(self, instance):
         cnf, xors = instance
-        expected = brute_force_solve(cnf, xors) is not None
+        expected = bool(brute_force_models(cnf, xors))
         solver = CdclSolver.from_cnf(cnf, xors)
         got = solver.solve()
         assert got == expected
@@ -132,11 +132,11 @@ class TestAgainstBruteForce:
         n = cnf.num_vars
         assumptions = data.draw(st.lists(
             st.integers(-n, n).filter(lambda l: l != 0), max_size=4))
-        expected = brute_force_solve(cnf, xors, assumptions) is not None
+        expected = bool(brute_force_models(cnf, xors, assumptions))
         solver = CdclSolver.from_cnf(cnf, xors)
         assert solver.solve(assumptions) == expected
         # The solver must be reusable after an assumption query.
-        expected_plain = brute_force_solve(cnf, xors) is not None
+        expected_plain = bool(brute_force_models(cnf, xors))
         assert solver.solve() == expected_plain
 
     @given(cnf_xor_instance())
@@ -197,7 +197,7 @@ class TestXorEngine:
             xors = [XorConstraint(rng.randint(1, 63), rng.getrandbits(1))
                     for _ in range(rng.randint(1, 8))]
             cnf = CnfFormula(n, [])
-            expected = brute_force_solve(cnf, xors) is not None
+            expected = bool(brute_force_models(cnf, xors))
             assert CdclSolver.from_cnf(cnf, xors).solve() == expected
 
 

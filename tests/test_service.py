@@ -155,6 +155,25 @@ class TestEndpoints:
         finally:
             conn.close()
 
+    def test_malformed_content_length_rejected_once(self, server):
+        """A body whose length cannot be parsed must not be read as the
+        next request: one 400, then the connection closes."""
+        import socket
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        request = (b"POST /v1/sketches HTTP/1.1\r\nHost: x\r\n"
+                   b"Content-Length: abc\r\n\r\n" + smuggled)
+        with socket.create_connection(("127.0.0.1", server.server_port),
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            received = b""
+            try:
+                while chunk := sock.recv(65536):
+                    received += chunk
+            except ConnectionResetError:
+                pass
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert received.startswith(b"HTTP/1.1 400 "), received
+
     def test_server_side_ingest_and_estimate(self, client):
         client.create("exact", kind="exact", **CREATE_KWARGS)
         items = stream(16, 500, seed=2)
