@@ -7,8 +7,8 @@ measures what that buys under concurrent load:
 
 * **Pure-query scaling** -- serial vs 8-client vs 32-client ``estimate``
   qps against a warm ShardedF0-backed sketch, for EVERY registered
-  front end (``threading``, ``asyncio``, ``multiproc`` -- each run is
-  stamped with ``frontend``/``procs``).  The enforced gate: 8-client
+  front end (``threading`` and ``multiproc`` -- each run is stamped
+  with ``frontend``/``procs``).  The enforced gate: 8-client
   qps >= 0.8x serial -- cached reads must not collapse under
   concurrency (on any host: a warm read does O(1) work, so even one
   core only pays scheduling overhead).

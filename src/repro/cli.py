@@ -15,7 +15,7 @@ Examples::
     python -m repro f0 items.txt --universe-bits 16 --window 3600
     python -m repro serve --port 8080 --snapshot sketches.bin
     python -m repro serve --sweep-interval 30
-    python -m repro serve --frontend asyncio --snapshot-on-exit exit.bin
+    python -m repro serve --snapshot-on-exit exit.bin
     python -m repro serve --frontend multiproc --procs 4
     python -m repro serve --cluster http://h1:8081,http://h2:8082
     python -m repro rebalance --from http://h1:8081,http://h2:8082 \

@@ -10,13 +10,13 @@ into a transport-independent core and pluggable transports:
   store: create / ingest-batch / merge / batched-frames / estimate /
   snapshot endpoints, unit-testable without a socket;
 * :mod:`repro.service.frontends` -- the front-end registry
-  (``threading`` = one OS thread per request, ``asyncio`` = one event
-  loop over all connections, ``multiproc`` = N pre-forked
-  ``SO_REUSEPORT`` workers reconciling via the frame-delta log)
-  selected by ``repro serve --frontend`` or ``REPRO_FRONTEND``;
-* :mod:`repro.service.server` -- the threading front end
-  (:class:`F0Server`) and the graceful-shutdown :func:`serve` shell
-  (SIGTERM/SIGINT, optional snapshot-on-exit);
+  (``threading`` = one OS thread per request, ``multiproc`` = N
+  pre-forked ``SO_REUSEPORT`` workers reconciling via the frame-delta
+  log) selected by ``repro serve --frontend`` or ``REPRO_FRONTEND``;
+* :mod:`repro.service.server` -- the one HTTP handler both front ends
+  speak through, the threading front end (:class:`F0Server`) and the
+  graceful-shutdown :func:`serve` shell (SIGTERM/SIGINT, optional
+  snapshot-on-exit);
 * :mod:`repro.service.client` -- a thin ``urllib``-based client whose
   sketch payloads ride the versioned wire format of
   :mod:`repro.store.serialize`.
@@ -32,7 +32,6 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.frontends import (
     DEFAULT_FRONTEND,
     DEFAULT_PROCS,
-    AsyncioFrontend,
     MultiprocFrontend,
     create_frontend,
     frontend_info,
@@ -47,7 +46,6 @@ from repro.service.router import Response, Router
 from repro.service.server import F0Server, serve
 
 __all__ = [
-    "AsyncioFrontend",
     "DEFAULT_FRONTEND",
     "DEFAULT_PROCS",
     "F0Server",

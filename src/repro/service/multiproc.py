@@ -9,18 +9,14 @@ processes before serving; each worker runs the ordinary
 so requests on different workers never share a lock, a cache line, or
 a GIL.
 
-Two distribution modes:
-
-* ``reuseport`` (default where available) -- every worker binds the
-  same ``(host, port)`` with ``SO_REUSEPORT`` and the kernel spreads
-  incoming connections across them.  The parent holds a bound but
-  *non-listening* placeholder socket on the port: it reserves the
-  address for the fleet's lifetime without ever receiving connections
-  (only listening sockets join the reuseport group).
-* ``fdpass`` -- single-listener fallback for platforms without
-  ``SO_REUSEPORT``: the parent accepts and hands each connected socket
-  to a worker round-robin over a unix socketpair with
-  ``socket.send_fds``.
+Every worker binds the same ``(host, port)`` with ``SO_REUSEPORT`` and
+the kernel spreads incoming connections across them.  The parent holds
+a bound but *non-listening* placeholder socket on the port: it reserves
+the address for the fleet's lifetime without ever receiving connections
+(only listening sockets join the reuseport group).  Every platform with
+``fork`` that this front end targets (Linux, macOS, the BSDs) has
+``SO_REUSEPORT``; where it is missing the registry lists the front end
+as unavailable.
 
 Workers reconcile through the frame-delta log of
 :mod:`repro.store.deltalog`: :class:`DeltaRouter` wraps the router so
@@ -67,9 +63,8 @@ from repro.store.store import SketchNotFoundError
 
 Address = Tuple[str, int]
 
-#: Seconds a worker waits in ``accept``/``recv`` slices between
-#: shutdown-flag checks, and the idle keep-alive timeout on worker
-#: connections (bounds how long a drain can block on an idle client).
+#: The idle keep-alive timeout on worker connections (bounds how long
+#: a drain can block on an idle client).
 _DRAIN_TIMEOUT = 2.0
 
 #: Seconds between liveness polls of the worker fleet (parent-side
@@ -261,52 +256,28 @@ class _WorkerHandler(F0ServiceHandler):
 
 
 class _WorkerServer(F0Server):
-    """An :class:`F0Server` that can share a port (``SO_REUSEPORT``) or
-    skip binding entirely (fd-passing mode serves inherited sockets)."""
+    """An :class:`F0Server` sharing its port with its peers
+    (``SO_REUSEPORT``)."""
 
-    def __init__(self, address: Address, router, verbose: bool = False,
-                 reuseport: bool = False, bind: bool = True) -> None:
-        self._reuseport = reuseport
-        self._bind = bind
+    def __init__(self, address: Address, router,
+                 verbose: bool = False) -> None:
         super().__init__(address, router=router, verbose=verbose)
         self.RequestHandlerClass = _WorkerHandler
-        if not bind:
-            self.server_name = address[0] or "localhost"
-            self.server_port = address[1]
 
     def server_bind(self) -> None:
-        """Bind with ``SO_REUSEPORT`` set, or not at all."""
-        if not self._bind:
-            return
-        if self._reuseport:
-            self.socket.setsockopt(socket.SOL_SOCKET,
-                                   socket.SO_REUSEPORT, 1)
+        """Bind with ``SO_REUSEPORT`` set."""
+        self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         super().server_bind()
-
-    def server_activate(self) -> None:
-        """Listen only when this worker bound its own socket."""
-        if self._bind:
-            super().server_activate()
 
 
 def _worker_main(worker_id: int, address: Address, router, procs: int,
-                 mode: str, log_dir: str, counter, ready_fd: int,
-                 channels, listener, verbose: bool,
+                 log_dir: str, counter, ready_fd: int, verbose: bool,
                  interval: float) -> None:
     """One forked worker: serve the inherited router copy until SIGTERM,
     then drain in-flight requests, flush pending deltas, and exit 0."""
     stop_event = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop_event.set())
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Parent owns Ctrl-C.
-    if listener is not None:
-        listener.close()  # The parent's; keeping it would pin the port.
-    own_channel = None
-    for i, (parent_end, child_end) in enumerate(channels or ()):
-        parent_end.close()
-        if i == worker_id:
-            own_channel = child_end
-        else:
-            child_end.close()  # A held copy would mask peers' EOF.
     log = DeltaLog(log_dir, worker_id=worker_id, counter=counter,
                    peers=procs)
     store = getattr(router, "store", None)
@@ -321,39 +292,16 @@ def _worker_main(worker_id: int, address: Address, router, procs: int,
         except OSError:
             pass
     delta_router = DeltaRouter(router, log, interval=interval)
-    server = _WorkerServer(address, router=delta_router, verbose=verbose,
-                           reuseport=(mode == "reuseport"),
-                           bind=(mode == "reuseport"))
+    server = _WorkerServer(address, router=delta_router, verbose=verbose)
     try:
-        if mode == "reuseport":
-            thread = threading.Thread(target=server.serve_forever,
-                                      name="f0-worker-accept", daemon=True)
-            thread.start()
-            os.write(ready_fd, b"R")
-            os.close(ready_fd)
-            stop_event.wait()
-            server.shutdown()
-            thread.join(timeout=10)
-        else:
-            os.write(ready_fd, b"R")
-            os.close(ready_fd)
-            own_channel.settimeout(0.5)
-            while not stop_event.is_set():
-                try:
-                    msg, fds, _, _ = socket.recv_fds(own_channel, 1, 1)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                if not msg and not fds:
-                    break  # Parent closed the channel: shutting down.
-                for fd in fds:
-                    conn = socket.socket(fileno=fd)
-                    try:
-                        peer = conn.getpeername()
-                    except OSError:
-                        peer = ("", 0)
-                    server.process_request(conn, peer)
+        thread = threading.Thread(target=server.serve_forever,
+                                  name="f0-worker-accept", daemon=True)
+        thread.start()
+        os.write(ready_fd, b"R")
+        os.close(ready_fd)
+        stop_event.wait()
+        server.shutdown()
+        thread.join(timeout=10)
         server.server_close()  # Joins in-flight handler threads (drain).
     finally:
         delta_router.close()  # Flush unpublished frames for the fold.
@@ -376,18 +324,16 @@ class MultiprocFrontend:
         verbose: per-request log lines from the workers.
         procs: worker count; ``None`` resolves like ``REPRO_PROCS``
             (explicit > override > env > default), ``0`` = all cores.
-        mode: ``"reuseport"`` / ``"fdpass"`` / ``None`` to pick
-            ``reuseport`` when the platform supports it.
         delta_interval: see :class:`DeltaRouter`.
         delta_dir: shared delta-log directory (a private temp dir by
             default, removed on :meth:`stop`).
 
     Raises:
-        ReproError: unusable mode, bad ``procs``, or no ``fork``.
+        ReproError: bad ``procs``, or (on start) no ``fork``.
     """
 
     def __init__(self, address: Address, router, verbose: bool = False,
-                 procs: Optional[int] = None, mode: Optional[str] = None,
+                 procs: Optional[int] = None,
                  delta_interval: Optional[float] = None,
                  delta_dir: Optional[str] = None) -> None:
         from repro.service.frontends import resolve_procs
@@ -397,20 +343,6 @@ class MultiprocFrontend:
         self._address = address
         resolved = resolve_procs(procs)
         self.procs = resolved if resolved > 0 else available_workers()
-        if mode is None:
-            mode = "reuseport" if hasattr(socket, "SO_REUSEPORT") \
-                else "fdpass"
-        if mode not in ("reuseport", "fdpass"):
-            raise ReproError(
-                f"unknown multiproc mode {mode!r}; use 'reuseport' or "
-                "'fdpass'")
-        if mode == "reuseport" and not hasattr(socket, "SO_REUSEPORT"):
-            raise ReproError("this platform has no SO_REUSEPORT; use "
-                             "mode='fdpass'")
-        if mode == "fdpass" and not hasattr(socket, "send_fds"):
-            raise ReproError("this platform cannot pass sockets between "
-                             "processes (socket.send_fds missing)")
-        self.mode = mode
         self.delta_interval = delta_interval or 0.0
         if self.delta_interval < 0:
             raise ReproError("delta_interval must be >= 0")
@@ -418,9 +350,6 @@ class MultiprocFrontend:
         self._own_delta_dir = False
         self._children: List[multiprocessing.process.BaseProcess] = []
         self._placeholder: Optional[socket.socket] = None
-        self._listener: Optional[socket.socket] = None
-        self._channels: List[Tuple[socket.socket, socket.socket]] = []
-        self._acceptor: Optional[threading.Thread] = None
         self._reader: Optional[DeltaLog] = None
         self._port: Optional[int] = None
         self._started = False
@@ -481,7 +410,7 @@ class MultiprocFrontend:
             raise ReproError(
                 "the multiproc front end needs the 'fork' start method "
                 "(unavailable on this platform); use --frontend "
-                "threading or asyncio")
+                "threading")
         self._started = True
         self._ctx = ctx
         host, port = self._address
@@ -492,24 +421,12 @@ class MultiprocFrontend:
             os.makedirs(self._delta_dir, exist_ok=True)
         counter = ctx.Value("Q", 0)
         self._counter = counter
-        if self.mode == "reuseport":
-            placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            placeholder.setsockopt(socket.SOL_SOCKET,
-                                   socket.SO_REUSEADDR, 1)
-            placeholder.setsockopt(socket.SOL_SOCKET,
-                                   socket.SO_REUSEPORT, 1)
-            placeholder.bind((host, port))
-            self._placeholder = placeholder
-            self._port = placeholder.getsockname()[1]
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
-            listener.listen(128)
-            self._listener = listener
-            self._port = listener.getsockname()[1]
-            self._channels = [socket.socketpair()
-                              for _ in range(self.procs)]
+        placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        placeholder.bind((host, port))
+        self._placeholder = placeholder
+        self._port = placeholder.getsockname()[1]
         ready_r, ready_w = os.pipe()
         try:
             worker_address = (host, self._port)
@@ -518,8 +435,7 @@ class MultiprocFrontend:
                 child = ctx.Process(
                     target=_worker_main,
                     args=(i, worker_address, self.router, self.procs,
-                          self.mode, self._delta_dir, counter, ready_w,
-                          self._channels, self._listener, self.verbose,
+                          self._delta_dir, counter, ready_w, self.verbose,
                           self.delta_interval),
                     name=f"f0-multiproc-{i}", daemon=True)
                 child.start()
@@ -534,13 +450,6 @@ class MultiprocFrontend:
             if ready_w >= 0:
                 os.close(ready_w)
             os.close(ready_r)
-        for _, child_end in self._channels:
-            child_end.close()
-        if self.mode == "fdpass":
-            self._acceptor = threading.Thread(target=self._accept_loop,
-                                              name="f0-fd-acceptor",
-                                              daemon=True)
-            self._acceptor.start()
         self._reader = DeltaLog(self._delta_dir, worker_id=None,
                                 counter=counter, peers=self.procs)
         self._monitor = threading.Thread(target=self._monitor_loop,
@@ -573,22 +482,6 @@ class MultiprocFrontend:
                         f"multiproc worker {child.name} died during "
                         f"startup (exit code {child.exitcode})")
 
-    def _accept_loop(self) -> None:
-        """fdpass mode: accept and hand sockets to workers round-robin."""
-        index = 0
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # Listener closed: shutting down.
-            channel = self._channels[index % self.procs][0]
-            index += 1
-            try:
-                socket.send_fds(channel, [b"c"], [conn.fileno()])
-            except OSError:
-                pass  # Worker died; the client sees a reset.
-            conn.close()  # The worker holds its own duplicate now.
-
     # -- crash detection ---------------------------------------------------
 
     def _monitor_loop(self) -> None:
@@ -599,9 +492,8 @@ class MultiprocFrontend:
         the kernel still hashes a fraction of new connections onto the
         dead socket, and those clients see resets while every health
         check on the surviving workers passes.  The monitor polls
-        liveness, logs a loud error for each crash, and -- in
-        reuseport mode, within :attr:`max_respawns` -- restarts the
-        worker under its *original* worker id so its delta-log slot
+        liveness, logs a loud error for each crash, and -- within
+        :attr:`max_respawns` -- restarts the worker under its *original* worker id so its delta-log slot
         (fixed: peers poll files ``0..N-1``) resumes draining and its
         pre-crash writes are recovered by the startup replay in
         ``_worker_main``.
@@ -628,10 +520,8 @@ class MultiprocFrontend:
 
     def _respawn(self, index: int) -> bool:
         """Restart worker ``index`` under its original id; True on
-        success.  Only reuseport mode is respawnable (fdpass workers
-        own a socketpair end the parent already closed)."""
-        if (self.mode != "reuseport"
-                or self.worker_respawns >= self.max_respawns
+        success."""
+        if (self.worker_respawns >= self.max_respawns
                 or self._stopping.is_set()):
             return False
         ready_r, ready_w = os.pipe()
@@ -640,9 +530,8 @@ class MultiprocFrontend:
             child = self._ctx.Process(
                 target=_worker_main,
                 args=(index, self._worker_address, self.router,
-                      self.procs, self.mode, self._delta_dir,
-                      self._counter, ready_w, (), None, self.verbose,
-                      self.delta_interval),
+                      self.procs, self._delta_dir, self._counter,
+                      ready_w, self.verbose, self.delta_interval),
                 name=f"f0-multiproc-{index}", daemon=True)
             child.start()
             os.close(ready_w)
@@ -681,19 +570,6 @@ class MultiprocFrontend:
         if self._monitor is not None:
             self._monitor.join(timeout=5)
             self._monitor = None
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=5)
-            self._acceptor = None
-        for parent_end, _ in self._channels:
-            try:
-                parent_end.close()  # EOF tells the worker to drain.
-            except OSError:
-                pass
         for child in self._children:
             if child.is_alive():
                 child.terminate()  # SIGTERM: graceful drain + flush.
@@ -703,8 +579,6 @@ class MultiprocFrontend:
                 child.kill()
                 child.join(timeout=5)
         self._children = []
-        self._channels = []
-        self._listener = None
         backing = getattr(self.router, "store", None)
         if backing is not None and self._reader is not None:
             try:

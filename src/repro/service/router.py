@@ -5,7 +5,7 @@
 sockets, threads or event loops -- those live in the pluggable front
 ends of :mod:`repro.service.frontends` -- which is what makes every
 endpoint unit-testable without binding a port, and what lets the same
-routing table serve the threading front end, the asyncio front end, and
+routing table serve the threading front end, the multiproc workers, and
 (via :class:`repro.distributed.cluster.ClusterRouter`, which implements
 the same ``handle`` contract) a multi-node gateway.
 

@@ -7,7 +7,11 @@ calls ``router.handle(method, path, body)``, and writes the
 :class:`~repro.service.router.Response` back.  Routing, validation and
 error mapping all live in the router (see its module doc for the wire
 protocol), so this file only deals in HTTP/1.1 mechanics: keep-alive,
-body draining, oversized-body rejection.
+body draining, oversized-body rejection.  This handler is the service's
+only HTTP parser: the multiproc workers subclass it.  Every reply,
+errors included, is a :class:`~repro.service.router.Response` sent in
+one socket write, so a keep-alive client never waits on a delayed ACK
+between the headers and the body.
 
 Correctness under concurrency comes from the store's locking discipline
 (registry lock for the name map, a per-sketch lock for mutations, a
@@ -16,8 +20,8 @@ upload to the same named sketch simultaneously and the merges
 serialize while estimates stay lock-free O(1) reads.
 
 :func:`serve` is the ``repro serve`` foreground entry point: it can run
-any registered front end (``threading`` here, ``asyncio`` in
-:mod:`repro.service.frontends`), handles SIGTERM/SIGINT gracefully, and
+any registered front end (``threading`` here, ``multiproc`` in
+:mod:`repro.service.multiproc`), handles SIGTERM/SIGINT gracefully, and
 optionally snapshots the store on exit so a redeploy never loses
 sketches.
 """
@@ -30,7 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
 from repro.common.errors import ReproError
-from repro.service.router import Router
+from repro.service.router import Response, Router
 from repro.store.store import SketchStore
 
 #: Largest accepted request body (64 MiB) -- a backstop against a
@@ -43,6 +47,9 @@ class F0ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "ReproF0Service/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: the last segment of a large blob never waits on the
+    #: client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -74,41 +81,64 @@ class F0ServiceHandler(BaseHTTPRequestHandler):
         elif length:
             self.rfile.read(length)
 
-    def _send(self, status: int, payload: bytes,
-              content_type: str) -> None:
+    def _send(self, response: Response) -> None:
+        """Write status line, headers and body in one socket write."""
         self._drain_body()
+        if self.request_version == "HTTP/0.9":
+            # An unparseable request line defaults to HTTP/0.9, which
+            # has no status line; every reply here carries one.
+            self.request_version = self.protocol_version
+        payload = response.payload
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
+            self.send_response(response.status)
+            self.send_header("Content-Type", response.content_type)
             self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            if self.command == "HEAD":
+                payload = b""
+            self._headers_buffer.append(b"\r\n" + payload)
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):
             pass  # Client went away; nothing to report to.
 
-    # -- dispatch ----------------------------------------------------------
-
-    def _reject(self, status: int, payload: bytes) -> None:
-        """Reply and drop the connection without reading the body, so
-        the unread bytes cannot masquerade as the next request."""
+    def _reject(self, status: int, message: str) -> None:
+        """Reply with a JSON error and drop the connection without
+        reading the body, so unread bytes cannot masquerade as the next
+        request."""
         self._body_consumed = True
         self.close_connection = True
-        self._send(status, payload, "application/json")
+        self._send(Response.error(status, message))
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Answer a request ``http.server`` refused before routing (a
+        malformed request line, an unsupported method, oversized
+        headers) with a JSON error instead of its HTML page."""
+        self.log_error("code %d, message %s", code, message)
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self._reject(code, message)
+
+    # -- dispatch ----------------------------------------------------------
 
     def _route(self, method: str) -> None:
         self._body_consumed = False  # Handler persists across keep-alive.
+        if "Transfer-Encoding" in self.headers:
+            # Only Content-Length framing is supported; a chunked body
+            # left unread would be parsed as the next request.
+            self._reject(501, "Transfer-Encoding is not supported")
+            return
         length = self._content_length()
         if length is None:
-            self._reject(400, b'{"error": "malformed Content-Length"}')
+            self._reject(400, "malformed Content-Length")
             return
         if length < 0 or length > MAX_BODY_BYTES:
-            self._reject(413, b'{"error": "request body too large"}')
+            self._reject(413, "request body too large")
             return
         body = self.rfile.read(length) if length else b""
         self._body_consumed = True
-        response = self.server.router.handle(method, self.path, body)
-        self._send(response.status, response.payload,
-                   response.content_type)
+        self._send(self.server.router.handle(method, self.path, body))
 
     # -- HTTP verbs --------------------------------------------------------
 
@@ -287,8 +317,7 @@ def serve(host: str = "127.0.0.1", port: int = 8080,
             it).
         verbose: per-request log lines to stderr (threading front end).
         frontend: registered front-end name (``threading`` /
-            ``asyncio`` / ``multiproc``; see
-            :mod:`repro.service.frontends`).
+            ``multiproc``; see :mod:`repro.service.frontends`).
         snapshot_on_exit: snapshot the store here after a graceful
             shutdown signal.  With the multiproc front end this is
             still exactly one snapshot: the shutdown fold merges every

@@ -345,14 +345,27 @@ class TestEnvResolution:
 
         monkeypatch.delenv("REPRO_FRONTEND", raising=False)
         assert resolve_frontend_name(None) == DEFAULT_FRONTEND
-        monkeypatch.setenv("REPRO_FRONTEND", "asyncio")
-        assert resolve_frontend_name(None) == "asyncio"
-        set_default_frontend("multiproc")
+        monkeypatch.setenv("REPRO_FRONTEND", "multiproc")
+        assert resolve_frontend_name(None) == "multiproc"
+        set_default_frontend("threading")
         try:
-            assert resolve_frontend_name(None) == "multiproc"
-            assert resolve_frontend_name("threading") == "threading"
+            assert resolve_frontend_name(None) == "threading"
+            assert resolve_frontend_name("multiproc") == "multiproc"
         finally:
             set_default_frontend(None)
+
+    def test_asyncio_frontend_refused(self, monkeypatch, capsys):
+        """The asyncio front end is gone: the flag and the environment
+        variable both fail with the registry's unknown-name message."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--frontend", "asyncio"])
+        assert exc.value.code == 2
+        assert "unknown front end 'asyncio'" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_FRONTEND", "asyncio")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0"])
+        assert "REPRO_FRONTEND='asyncio' names an unknown front end" \
+            in str(exc.value.code)
 
     def test_procs_resolution_order(self, monkeypatch):
         from repro.service.frontends import (

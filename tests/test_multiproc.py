@@ -235,30 +235,6 @@ class TestDeltaRouter:
         assert audit.poll() == []
 
 
-@pytest.mark.skipif(not hasattr(__import__("socket"), "send_fds"),
-                    reason="fd passing needs socket.send_fds")
-class TestFdpassMode:
-    def test_fdpass_parity_with_serial_reference(self):
-        """The fd-passing fallback serves the same answers as a local
-        sketch: mode must never change semantics."""
-        frontend = MultiprocFrontend(("127.0.0.1", 0), Router(), procs=2,
-                                     mode="fdpass").start_background()
-        try:
-            items = [random.Random(11).getrandbits(BITS)
-                     for _ in range(2_000)]
-            client = ServiceClient(frontend.url)
-            client.create("hot", **CREATE_KWARGS)
-            client.ingest("hot", items)
-            expected = _sketch(items).estimate()
-            # Fresh connections land on different workers round-robin;
-            # an acknowledged write must be visible to every one.
-            for _ in range(6):
-                assert ServiceClient(frontend.url).estimate("hot") \
-                    == expected
-        finally:
-            frontend.stop()
-
-
 class TestReadAfterWrite:
     def test_acknowledged_writes_visible_from_any_worker(self):
         frontend = MultiprocFrontend(("127.0.0.1", 0), Router(),
@@ -310,7 +286,7 @@ class TestWorkerCrash:
         import signal as _signal
 
         frontend = MultiprocFrontend(("127.0.0.1", 0), Router(),
-                                     procs=2, mode="reuseport",
+                                     procs=2,
                                      delta_interval=0.0)
         frontend.start_background()
         try:
@@ -352,7 +328,7 @@ class TestWorkerCrash:
         import signal as _signal
 
         frontend = MultiprocFrontend(("127.0.0.1", 0), Router(),
-                                     procs=2, mode="reuseport",
+                                     procs=2,
                                      delta_interval=0.0)
         frontend.max_respawns = 0  # Force the no-respawn path.
         frontend.start_background()

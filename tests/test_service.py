@@ -6,12 +6,16 @@ plus a concurrent-client smoke with >= 8 threads returning correct
 estimates.
 
 The ``server`` fixture is parametrized over every registered front end
-(ISSUE 6), so each endpoint test doubles as a threading/asyncio parity
-check: same router, same wire behaviour, different transport.
+(``threading`` and ``multiproc``), so each endpoint test doubles as a
+parity check: same router, same handler, different process layout.
 """
 
+import json
 import random
+import socket
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -158,21 +162,58 @@ class TestEndpoints:
     def test_malformed_content_length_rejected_once(self, server):
         """A body whose length cannot be parsed must not be read as the
         next request: one 400, then the connection closes."""
-        import socket
         smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
         request = (b"POST /v1/sketches HTTP/1.1\r\nHost: x\r\n"
                    b"Content-Length: abc\r\n\r\n" + smuggled)
-        with socket.create_connection(("127.0.0.1", server.server_port),
-                                      timeout=10) as sock:
-            sock.sendall(request)
-            received = b""
-            try:
-                while chunk := sock.recv(65536):
-                    received += chunk
-            except ConnectionResetError:
-                pass
+        received = _exchange(server, request)
         assert received.count(b"HTTP/1.1 ") == 1, received
         assert received.startswith(b"HTTP/1.1 400 "), received
+
+    def test_chunked_body_rejected_once(self, server):
+        """Only Content-Length framing is supported: a chunked body must
+        get one 501 and a closed connection, never be parsed as the
+        next request."""
+        request = (b"POST /v1/sketches/a/ingest HTTP/1.1\r\nHost: x\r\n"
+                   b"Content-Type: application/json\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n"
+                   b"e\r\n{\"items\": [1]}\r\n0\r\n\r\n")
+        received = _exchange(server, request)
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert received.startswith(b"HTTP/1.1 501 "), received
+        assert b"Connection: close" in received, received
+        assert "Transfer-Encoding" in _json_body(received)["error"]
+
+    def test_malformed_request_line_is_json_400(self, server):
+        received = _exchange(server, b"garbage\r\n\r\n")
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert received.startswith(b"HTTP/1.1 400 "), received
+        assert _json_body(received)["error"]
+
+    def test_unsupported_method_is_json_501(self, client):
+        with pytest.raises(ServiceError) as exc:
+            client._request("PATCH", "/v1/sketches")
+        assert exc.value.status == 501
+        assert str(exc.value) == "HTTP 501: Unsupported method ('PATCH')"
+
+    def test_keep_alive_requests_answer_within_delayed_ack(self, server):
+        """Ten requests on one keep-alive connection: the median must
+        stay under half the 40 ms delayed-ACK window, which a response
+        split over two socket writes does not meet."""
+        import http.client
+        conn = http.client.HTTPConnection("127.0.0.1",
+                                          server.server_port, timeout=10)
+        latencies = []
+        try:
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                reply = conn.getresponse()
+                reply.read()
+                latencies.append(time.perf_counter() - start)
+                assert reply.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
 
     def test_server_side_ingest_and_estimate(self, client):
         client.create("exact", kind="exact", **CREATE_KWARGS)
@@ -201,6 +242,26 @@ class TestEndpoints:
         with pytest.raises(ServiceError) as exc:
             client.estimate("ephemeral")
         assert exc.value.status == 404
+
+
+def _exchange(server, request: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; return everything read
+    until the server closes it."""
+    with socket.create_connection(("127.0.0.1", server.server_port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        received = b""
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass
+    return received
+
+
+def _json_body(response: bytes) -> dict:
+    """The JSON body of one raw HTTP response."""
+    return json.loads(response.partition(b"\r\n\r\n")[2])
 
 
 class TestStoreCoordinator:
@@ -385,10 +446,24 @@ class TestBatchedFrames:
 
 class TestFrontendRegistry:
     def test_both_frontends_registered(self):
-        names = frontend_names()
-        assert "threading" in names
-        assert "asyncio" in names
-        assert "multiproc" in names
+        assert set(frontend_names()) == {"threading", "multiproc"}
+
+    def test_unavailable_multiproc_refused_with_reason(self, monkeypatch):
+        import argparse
+        import dataclasses
+
+        from repro.common.errors import ReproError
+        from repro.service.frontends import FRONTENDS, frontend_info
+        entry = frontend_info("multiproc")
+        assert entry.available == hasattr(socket, "SO_REUSEPORT")
+        assert "SO_REUSEPORT" in entry.unavailable_reason
+        monkeypatch.setitem(FRONTENDS.entries, "multiproc",
+                            dataclasses.replace(entry, available=False))
+        with pytest.raises(ReproError, match=entry.unavailable_reason):
+            create_frontend("multiproc", ("127.0.0.1", 0), Router())
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match=entry.unavailable_reason):
+            FRONTENDS.arg_type("multiproc")
 
     def test_unknown_frontend_rejected(self):
         from repro.common.errors import ReproError
