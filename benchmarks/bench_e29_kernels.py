@@ -2,7 +2,8 @@
 
 The kernel registry (:mod:`repro.kernels`) makes the CDCL propagation
 loop and the batched GF(2) hashing loops pluggable.  This benchmark runs
-the same three workloads under every *available* kernel:
+the same three workloads under every *available* kernel, selected the
+one way a kernel is chosen -- process-wide, with :func:`set_default_kernel`:
 
 * **propagation** -- repeated assumption solves against one incremental
   solver over a large random 3-CNF: almost all of the work is the
@@ -29,7 +30,7 @@ import time
 from benchmarks.harness import emit, emit_json, format_table
 from repro.core.approxmc import approx_mc
 from repro.formulas.generators import random_k_cnf
-from repro.kernels import kernel_info, kernel_names
+from repro.kernels import kernel_info, kernel_names, set_default_kernel
 from repro.sat.solver import CdclSolver
 from repro.streaming.base import SketchParams, compute_f0
 from repro.streaming.estimation import EstimationF0
@@ -59,9 +60,9 @@ CHUNK_SIZE = 4096
 AVAILABLE = [n for n in kernel_names() if kernel_info(n).available]
 
 
-def _bench_propagation(kernel):
+def _bench_propagation():
     formula = random_k_cnf(random.Random(17), PROP_VARS, PROP_CLAUSES, k=3)
-    solver = CdclSolver.from_cnf(formula, kernel=kernel)
+    solver = CdclSolver.from_cnf(formula)
     solver.solve()  # Warm-up: first call pays any JIT compilation.
     t0 = time.perf_counter()
     verdicts = []
@@ -78,17 +79,17 @@ def _bench_propagation(kernel):
     return elapsed, (tuple(verdicts), solver.stats.propagations)
 
 
-def _bench_approxmc(kernel):
+def _bench_approxmc():
     formula = random_k_cnf(random.Random(5), 26, 100, 3)
     t0 = time.perf_counter()
     result = approx_mc(formula, COUNT_PARAMS, random.Random(11),
-                       search="galloping", kernel=kernel)
+                       search="galloping")
     elapsed = time.perf_counter() - t0
     return elapsed, (result.estimate, tuple(result.iteration_sketches),
                      result.oracle_calls)
 
 
-def _bench_ingestion(kernel):
+def _bench_ingestion():
     chunks = list(iter_shuffled_stream_with_f0(
         random.Random(99), UNIVERSE_BITS, STREAM_F0, STREAM_LENGTH,
         chunk_size=CHUNK_SIZE))
@@ -96,10 +97,9 @@ def _bench_ingestion(kernel):
     estimates = []
     t0 = time.perf_counter()
     for estimator in (
-            MinimumF0(UNIVERSE_BITS, INGEST_PARAMS, random.Random(7),
-                      kernel=kernel),
+            MinimumF0(UNIVERSE_BITS, INGEST_PARAMS, random.Random(7)),
             EstimationF0(UNIVERSE_BITS, INGEST_PARAMS, random.Random(7),
-                         independence=4, kernel=kernel)):
+                         independence=4)):
         estimates.append(compute_f0(iter(items), estimator,
                                     chunk_size=CHUNK_SIZE))
     elapsed = time.perf_counter() - t0
@@ -118,7 +118,11 @@ def test_e29_kernel_throughput(capsys):
     fingerprints = {}  # workload -> reference result, from the default.
     for workload, bench in WORKLOADS:
         for kernel in AVAILABLE:
-            elapsed, fingerprint = bench(kernel)
+            set_default_kernel(kernel)
+            try:
+                elapsed, fingerprint = bench()
+            finally:
+                set_default_kernel(None)
             times[(workload, kernel)] = elapsed
             reference = fingerprints.setdefault(workload, fingerprint)
             assert fingerprint == reference, (

@@ -10,17 +10,18 @@ same large random 3-CNF (E29's 120 vars / 500 clauses), so nearly all
 of its time sits inside the watched-literal loop, exactly where nogil
 matters.
 
-* **Sweep** -- every available kernel under serial / thread(4) /
-  process(4) executors.  Pool construction is inside the timed region:
-  the thread pool's cheap start-up is part of the story.
+* **Sweep** -- every available kernel, selected process-wide with
+  :func:`set_default_kernel`, under serial / thread(4) / process(4)
+  executors.  Pool construction is inside the timed region: the thread
+  pool's cheap start-up is part of the story.
 * **Correctness** -- per-task verdicts and propagation counts must be
   bit-identical across all three executors per kernel, and a real
   counter run (ApproxMC on a small formula) must produce identical
   estimates, per-repetition sketches and oracle-call totals whichever
   executor dispatches it.
-* **Auto-pick** -- the decision :mod:`repro.kernels.autopick` makes for
-  this workload's fingerprint is recorded (calibrated when the host has
-  >= 2 CPUs), so the JSON shows what ``--executor auto`` would do here.
+* **Executor resolution** -- per kernel, the executor name the registry
+  resolves and the executor class ``get_executor(4)`` returns, so the
+  JSON shows what a bare ``workers=4`` would run here.
 * **Gates** (numba present *and* >= 4 CPUs; otherwise the payload says
   ``"skipped: ..."``) -- on the nogil numba kernel, thread(4) is
   >= 2x serial and >= 1.3x process(4).
@@ -34,9 +35,12 @@ import time
 from benchmarks.harness import emit, emit_json, format_table
 from repro.core.approxmc import approx_mc
 from repro.formulas.generators import random_k_cnf
-from repro.kernels import kernel_info, kernel_names
-from repro.kernels.autopick import WorkloadFingerprint, pick
-from repro.parallel import available_workers, get_executor
+from repro.kernels import kernel_info, kernel_names, set_default_kernel
+from repro.parallel import (
+    available_workers,
+    get_executor,
+    resolve_executor_name,
+)
 from repro.sat.solver import CdclSolver
 from repro.streaming.base import SketchParams
 
@@ -74,8 +78,8 @@ def _repetition_task(seed, shared):
     Module-level and shipped only plain data so the process executor can
     pickle it; the thread executor runs it by reference.
     """
-    formula, kernel, rounds = shared
-    solver = CdclSolver.from_cnf(formula, kernel=kernel)
+    formula, rounds = shared
+    solver = CdclSolver.from_cnf(formula)
     verdicts = []
     for round_index in range(rounds):
         r = random.Random(seed * 1_000 + round_index)
@@ -86,9 +90,9 @@ def _repetition_task(seed, shared):
     return tuple(verdicts), solver.stats.propagations
 
 
-def _bench_repetitions(kernel, executor_name, tasks, rounds):
+def _bench_repetitions(executor_name, tasks, rounds):
     formula = random_k_cnf(random.Random(17), PROP_VARS, PROP_CLAUSES, k=3)
-    shared = (formula, kernel, rounds)
+    shared = (formula, rounds)
     _repetition_task(0, shared)  # Warm-up: JIT compiles off the clock.
     t0 = time.perf_counter()
     executor = get_executor(GATE_WORKERS, executor_name)
@@ -110,7 +114,7 @@ def _approxmc_parity(kernel):
         executor = get_executor(GATE_WORKERS, name)
         try:
             r = approx_mc(formula, COUNT_PARAMS, random.Random(11),
-                          kernel=kernel, executor=executor)
+                          executor=executor)
         finally:
             executor.close()
         results[name] = (r.estimate, tuple(r.raw_estimates),
@@ -125,24 +129,28 @@ def _approxmc_parity(kernel):
 def test_e31_thread_throughput(capsys):
     tasks, rounds = _workload_size()
     times = {}  # (kernel, executor) -> seconds
+    estimates = {}
+    resolution = {}  # kernel -> what a bare workers=GATE_WORKERS runs
     for kernel in AVAILABLE:
-        reference = None
-        for executor_name in EXECUTORS:
-            elapsed, fingerprint = _bench_repetitions(
-                kernel, executor_name, tasks, rounds)
-            times[(kernel, executor_name)] = elapsed
-            if reference is None:
-                reference = fingerprint
-            assert fingerprint == reference, (
-                f"repetitions under kernel={kernel} "
-                f"executor={executor_name} diverged from serial")
-
-    estimates = {kernel: _approxmc_parity(kernel) for kernel in AVAILABLE}
-
-    cpus = available_workers()
-    decision = pick(
-        fingerprint=WorkloadFingerprint(PROP_VARS, PROP_CLAUSES, tasks),
-        workers=cpus, calibrate=cpus >= 2)
+        set_default_kernel(kernel)
+        try:
+            reference = None
+            for executor_name in EXECUTORS:
+                elapsed, fingerprint = _bench_repetitions(
+                    executor_name, tasks, rounds)
+                times[(kernel, executor_name)] = elapsed
+                if reference is None:
+                    reference = fingerprint
+                assert fingerprint == reference, (
+                    f"repetitions under kernel={kernel} "
+                    f"executor={executor_name} diverged from serial")
+            estimates[kernel] = _approxmc_parity(kernel)
+            with get_executor(GATE_WORKERS) as executor:
+                resolution[kernel] = {
+                    "executor": resolve_executor_name(),
+                    "class": type(executor).__name__}
+        finally:
+            set_default_kernel(None)
 
     def speedup(kernel, executor_name):
         return times[(kernel, "serial")] / times[(kernel, executor_name)]
@@ -155,10 +163,10 @@ def test_e31_thread_throughput(capsys):
         f"({tasks} tasks x {rounds} assumption rounds; "
         "identical results asserted)",
         ["kernel", "executor", "seconds", "speedup vs serial"], rows)
-    table += (f"\n\nauto-pick for this workload: {decision.kernel} + "
-              f"{decision.executor} "
-              f"({'calibrated' if decision.calibrated else 'heuristic'}: "
-              f"{decision.reason})")
+    table += "\n\n" + "\n".join(
+        f"workers={GATE_WORKERS} on {kernel}: executor "
+        f"{chosen['executor']} -> {chosen['class']}"
+        for kernel, chosen in resolution.items())
 
     if _gate_capable():
         gate = "enforced"
@@ -188,16 +196,7 @@ def test_e31_thread_throughput(capsys):
             f"{kernel}/{name}": speedup(kernel, name)
             for kernel in AVAILABLE for name in EXECUTORS},
         "approxmc_estimates": estimates,
-        "autopick": {
-            "kernel": decision.kernel,
-            "executor": decision.executor,
-            "workers": decision.workers,
-            "calibrated": decision.calibrated,
-            "reason": decision.reason,
-            "timings": [
-                {"kernel": k, "executor": e, "seconds": s}
-                for k, e, s in decision.timings],
-        },
+        "executor_resolution": resolution,
     })
 
     if gate == "enforced":

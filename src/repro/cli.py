@@ -9,7 +9,6 @@ Examples::
     python -m repro count formula.cnf --workers 4 --executor thread
     python -m repro sample formula.dnf --count 5
     python -m repro list
-    python -m repro list --autopick
     python -m repro f0 items.txt --universe-bits 16 --sketch minimum
     python -m repro f0 items.txt --universe-bits 16 --workers 0
     python -m repro f0 items.txt --universe-bits 16 --window 3600
@@ -31,14 +30,16 @@ fans counter repetitions / stream chunks out over a worker pool
 (``0`` = all cores) with bit-identical results to serial execution;
 ``--executor`` picks the pool backend (``serial``/``thread``/
 ``process``/``auto``; the ``REPRO_EXECUTOR`` environment variable sets
-the session default, and ``auto`` reads the kernel's GIL capability or
-a cached calibration -- see ``repro list --autopick``).
+the session default, and ``auto`` picks threads when the kernel releases
+the GIL, processes otherwise).
 ``--oracle`` selects the NP-oracle solver backend and ``--kernel`` the
 compute kernel driving the solver and hashing inner loops (the
-``REPRO_KERNEL`` environment variable sets the session default).
+``REPRO_KERNEL`` environment variable sets the session default).  Both
+``--kernel`` and ``--executor`` set the process-wide choice for one
+command, pool workers included.
 ``python -m repro list`` lists every registry -- oracle backends,
-kernels, executors, front ends -- with what is installed, what each
-name resolves to here, and the current auto-pick decision.
+kernels, executors, front ends -- with what is installed and what each
+name resolves to here.
 
 ``serve`` runs the long-lived sketch service of :mod:`repro.service` --
 ``--frontend`` picks the transport (``REPRO_FRONTEND``/``REPRO_PROCS``
@@ -146,7 +147,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         "estimation": approx_model_count_est,
     }[args.algorithm]
     result = runner(formula, params, rng, workers=args.workers,
-                    backend=args.oracle, kernel=args.kernel)
+                    backend=args.oracle)
     print(f"{result.estimate:.6g}")
     print(f"oracle calls: {result.oracle_calls}", file=sys.stderr)
     return 0
@@ -156,7 +157,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     formula = _load_formula(args.formula)
     rng = random.Random(args.seed)
     for model in sample_solutions(formula, rng, args.count,
-                                  backend=args.oracle, kernel=args.kernel):
+                                  backend=args.oracle):
         lits = [v if (model >> (v - 1)) & 1 else -v
                 for v in range(1, formula.num_vars + 1)]
         print(" ".join(str(l) for l in lits) + " 0")
@@ -164,9 +165,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    """List every registry and the kernel x executor auto-pick."""
-    from repro.kernels.autopick import pick
-
+    """List every registry with what each name resolves to here."""
     for title, flag, registry in (("oracle backends", "--oracle", BACKENDS),
                                   ("kernels", "--kernel", KERNELS),
                                   ("executors", "--executor", EXECUTORS),
@@ -183,18 +182,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
             print(f"  {name}{marker}: {entry.description}{status}{gil}")
         print(f"  resolved: {registry.resolve()} ({registry.source()})")
         print()
-
-    try:
-        decision = pick(calibrate=args.autopick)
-    except ReproError as exc:
-        print(f"auto-pick unavailable: {exc}")
-        return 1
-    mode = "calibrated" if decision.calibrated else "heuristic"
-    print(f"auto-pick ({mode}): kernel={decision.kernel} "
-          f"executor={decision.executor} workers={decision.workers}")
-    print(f"  {decision.reason}")
-    for kernel_name, executor_name, seconds in decision.timings:
-        print(f"  {kernel_name}+{executor_name}: {seconds * 1e3:.1f} ms")
     return 0
 
 
@@ -358,7 +345,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
                     replicas = [copy.deepcopy(replica)
                                 for _ in range(ex.workers)]
                     replicas = ingest_stream_parallel(
-                        ex, replicas, _counting(chunks), wire="store")
+                        ex, replicas, _counting(chunks))
                     client.push_frames(args.name, replicas)
                     total = counted[0]
         elapsed = time.perf_counter() - started
@@ -498,13 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     listing = sub.add_parser(
         "list",
-        help="list oracle backends, compute kernels, executors, front "
-             "ends, and the kernel x executor auto-pick")
-    listing.add_argument("--autopick", action="store_true",
-                         help="run the calibration micro-benchmark and "
-                              "print per-pair timings (cached for the "
-                              "process; without this flag the decision "
-                              "is the capability heuristic)")
+        help="list oracle backends, compute kernels, executors and "
+             "front ends")
     listing.set_defaults(func=_cmd_list)
 
     f0 = sub.add_parser("f0", help="distinct elements of an item stream")
@@ -667,10 +649,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise SystemExit(str(exc))
     if kernel is None and executor is None:
         return args.func(args)
-    # Scope the registry defaults to this invocation: hash families and
-    # ``workers=`` knobs the command exercises internally pick the
-    # kernel/executor up without explicit threading, and in-process
-    # callers (the test suite) see no leak.
+    # Scope the registry defaults to this invocation: everything the
+    # command runs picks the kernel/executor up from the registries, and
+    # in-process callers (the test suite) get their own overrides back.
+    previous = KERNELS.override, EXECUTORS.override
     if kernel is not None:
         KERNELS.set_default(kernel)
     if executor is not None:
@@ -678,10 +660,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     finally:
-        if kernel is not None:
-            KERNELS.set_default(None)
-        if executor is not None:
-            EXECUTORS.set_default(None)
+        KERNELS.set_default(previous[0])
+        EXECUTORS.set_default(previous[1])
 
 
 if __name__ == "__main__":

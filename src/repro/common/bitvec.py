@@ -77,7 +77,7 @@ def reverse_bits(x: int, width: int) -> int:
     return out
 
 
-def trailing_zeros_batch(values, width: int, kernel: str | None = None):
+def trailing_zeros_batch(values, width: int):
     """Batched :func:`trailing_zeros` over a uint64 numpy array.
 
     Dispatches to the selected compute kernel (:mod:`repro.kernels`) --
@@ -85,12 +85,12 @@ def trailing_zeros_batch(values, width: int, kernel: str | None = None):
     loop on ``numba``.  Returns an int64 array (``width`` for zeros).
     """
     from repro.kernels import get_kernel
-    return get_kernel(kernel).trail_zeros_batch(values, width)
+    return get_kernel().trail_zeros_batch(values, width)
 
 
-def bit_length_batch(values, kernel: str | None = None):
+def bit_length_batch(values):
     """Batched ``int.bit_length`` over a uint64 numpy array (int64 out;
     0 for 0).  ``leading_zeros`` of a ``width``-bit value is ``width``
     minus this, which is how the hash layer computes cell levels."""
     from repro.kernels import get_kernel
-    return get_kernel(kernel).bit_length_batch(values)
+    return get_kernel().bit_length_batch(values)

@@ -47,7 +47,7 @@ class Entry:
     (the ``numba`` kernel on a bare container); the entry stays listed so
     ``repro list`` can say why, but :meth:`Registry.get` refuses it with
     ``unavailable_reason``.  ``releases_gil`` is the capability flag the
-    executor auto-pick reads: True means the entry's hot loops drop the
+    ``auto`` executor reads: True means the entry's hot loops drop the
     GIL for their whole run (only compute kernels set it).
 
     Entries compare and hash by identity, so a cache keyed on an entry is

@@ -134,7 +134,6 @@ class BucketingStrategy(CounterStrategy):
     repetitions: int
     search: SearchStrategy = "linear"
     backend: Optional[str] = None
-    kernel: Optional[str] = None
     #: Caller-supplied hash functions (the sketch-equivalence experiment
     #: feeds the same functions to the streaming side); ``None`` samples.
     hashes: Optional[Sequence[LinearHash]] = field(default=None)
@@ -147,13 +146,10 @@ class BucketingStrategy(CounterStrategy):
     def sample_hashes(self, rng: RandomSource) -> List[LinearHash]:
         n = self.formula.num_vars
         return presampled_hashes(self.hashes, self.repetitions,
-                                 ToeplitzHashFamily(n, n,
-                                                    kernel=self.kernel),
-                                 rng)
+                                 ToeplitzHashFamily(n, n), rng)
 
     def run_repetition(self, h: LinearHash) -> Tuple[Tuple[int, int], int]:
-        oracle = (NpOracle(self.formula, backend=self.backend,
-                           kernel=self.kernel)
+        oracle = (NpOracle(self.formula, backend=self.backend)
                   if isinstance(self.formula, CnfFormula) else None)
         cells = cell_search_for(self.formula, h, self.thresh, oracle=oracle)
         count, level = _STRATEGIES[self.search](cells)
@@ -174,7 +170,6 @@ def approx_mc(
     workers: int = 1,
     executor: Optional[Executor] = None,
     backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> ApproxCountResult:
     """Run ApproxMC (Algorithm 5); see module docstring.
 
@@ -202,8 +197,6 @@ def approx_mc(
             keeps ownership).
         backend: NP-oracle solver backend name (registry default when
             ``None``).
-        kernel: compute-kernel name for the solver inner loops
-            (:mod:`repro.kernels` registry default when ``None``).
 
     Returns:
         An :class:`~repro.core.results.ApproxCountResult` with the
@@ -218,6 +211,6 @@ def approx_mc(
     strategy = BucketingStrategy(
         formula=formula, thresh=params.thresh,
         repetitions=params.repetitions, search=search,
-        backend=backend, kernel=kernel, hashes=hashes)
+        backend=backend, hashes=hashes)
     return RepetitionEngine(strategy).run(rng, workers=workers,
                                           executor=executor)

@@ -228,8 +228,7 @@ class DnfCellSearch(CellSearch):
 def cell_search_for(formula: Formula, h: LinearHash, thresh: int,
                     oracle: Optional[NpOracle] = None,
                     target: int = 0,
-                    backend: Optional[str] = None,
-                    kernel: Optional[str] = None) -> CellSearch:
+                    backend: Optional[str] = None) -> CellSearch:
     """Pick the cell-search implementation for a formula representation.
 
     DNF gets the polynomial :class:`DnfCellSearch`; CNF gets the
@@ -237,9 +236,7 @@ def cell_search_for(formula: Formula, h: LinearHash, thresh: int,
     ride whatever solver backend the supplied ``oracle`` resolves
     (:mod:`repro.sat.backends`); alternatively pass a ``backend`` name
     and a fresh :class:`NpOracle` is opened on it -- its call count
-    stays readable as ``cells.oracle.calls``.  ``kernel``
-    names the compute kernel for that freshly opened oracle (ignored
-    when an ``oracle`` is supplied; the oracle already carries one).
+    stays readable as ``cells.oracle.calls``.
     """
     if isinstance(formula, DnfFormula):
         return DnfCellSearch(formula, h, thresh, target)
@@ -248,5 +245,5 @@ def cell_search_for(formula: Formula, h: LinearHash, thresh: int,
             raise InvalidParameterError(
                 "cell search on CNF requires an NpOracle (or a backend "
                 "name to open one on)")
-        oracle = NpOracle(formula, backend=backend, kernel=kernel)
+        oracle = NpOracle(formula, backend=backend)
     return CellSearchEngine(formula, h, thresh, oracle, target)

@@ -75,13 +75,11 @@ class EstimationStrategy(CounterStrategy):
     repetitions: int
     r: int
     independence: int
-    kernel: Optional[str] = None
 
     def sample_hashes(self, rng: RandomSource) -> List[list]:
         # Repetition-major draw order: parallel runs consume the parent
         # RNG identically to the serial loop.
-        family = KWiseHashFamily(self.num_vars, self.independence,
-                                 kernel=self.kernel)
+        family = KWiseHashFamily(self.num_vars, self.independence)
         return [[family.sample(rng) for _j in range(self.thresh)]
                 for _i in range(self.repetitions)]
 
@@ -108,7 +106,6 @@ def approx_model_count_est(
     workers: int = 1,
     executor: Optional[Executor] = None,
     backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> ApproxCountResult:
     """Run ApproxModelCountEst (Algorithm 7); see module docstring.
 
@@ -131,8 +128,6 @@ def approx_model_count_est(
         executor: explicit executor overriding ``workers``.
         backend: oracle solver backend for the FM pre-pass and any
             solver-backed enumeration.
-        kernel: compute-kernel name for the solver inner loops and the
-            s-wise hash evaluations (registry default when ``None``).
 
     Returns:
         An :class:`~repro.core.results.ApproxCountResult` (median of
@@ -151,15 +146,13 @@ def approx_model_count_est(
     if independence is None:
         independence = independence_for_eps(params.eps)
 
-    oracle = oracle_for(formula, backend=backend, polynomial_hashes=True,
-                        kernel=kernel)
+    oracle = oracle_for(formula, backend=backend, polynomial_hashes=True)
     with executor_for(workers, executor) as ex:
         fm_calls = 0
         if r is None:
             fm = flajolet_martin_count(formula, rng,
                                        repetitions=fm_repetitions,
-                                       executor=ex, backend=backend,
-                                       kernel=kernel)
+                                       executor=ex, backend=backend)
             fm_calls = fm.oracle_calls
             if fm.estimate == 0.0:
                 return ApproxCountResult(estimate=0.0, oracle_calls=fm_calls)
@@ -169,8 +162,7 @@ def approx_model_count_est(
 
         strategy = EstimationStrategy(
             solutions=oracle.solutions, num_vars=n, thresh=thresh,
-            repetitions=reps, r=r, independence=independence,
-            kernel=kernel)
+            repetitions=reps, r=r, independence=independence)
         result = RepetitionEngine(strategy).run(rng, executor=ex)
 
     result.oracle_calls += fm_calls

@@ -67,18 +67,16 @@ class FlajoletMartinStrategy(CounterStrategy):
     formula: Formula
     repetitions: int
     backend: Optional[str] = None
-    kernel: Optional[str] = None
 
     def sample_hashes(self, rng: RandomSource) -> List:
         n = self.formula.num_vars
-        family = XorHashFamily(n, n, kernel=self.kernel)
+        family = XorHashFamily(n, n)
         return [family.sample(rng) for _ in range(self.repetitions)]
 
     def run_repetition(self, h) -> Tuple[Tuple[int], int]:
         if isinstance(self.formula, DnfFormula):
             return (_max_level_dnf(self.formula, h),), 0
-        oracle = NpOracle(self.formula, backend=self.backend,
-                          kernel=self.kernel)
+        oracle = NpOracle(self.formula, backend=self.backend)
         level = find_max_range(oracle, h, self.formula.num_vars)
         return (level,), oracle.calls
 
@@ -95,7 +93,6 @@ def flajolet_martin_count(formula: Formula, rng: RandomSource,
                           workers: int = 1,
                           executor: Optional[Executor] = None,
                           backend: Optional[str] = None,
-                          kernel: Optional[str] = None,
                           ) -> FmCountResult:
     """Median-of-``repetitions`` FM rough count of ``|Sol(phi)|``.
 
@@ -111,8 +108,6 @@ def flajolet_martin_count(formula: Formula, rng: RandomSource,
             bit-identical at any worker count.
         executor: explicit executor overriding ``workers``.
         backend: NP-oracle solver backend name for the CNF path.
-        kernel: compute-kernel name for the solver inner loops
-            (:mod:`repro.kernels` registry default when ``None``).
 
     Returns:
         An :class:`FmCountResult` whose ``estimate`` is ``2^R`` for the
@@ -126,6 +121,6 @@ def flajolet_martin_count(formula: Formula, rng: RandomSource,
     """
     strategy = FlajoletMartinStrategy(formula=formula,
                                       repetitions=repetitions,
-                                      backend=backend, kernel=kernel)
+                                      backend=backend)
     return RepetitionEngine(strategy).run(rng, workers=workers,
                                           executor=executor)

@@ -69,19 +69,15 @@ class MinimumStrategy(CounterStrategy):
     thresh: int
     repetitions: int
     backend: Optional[str] = None
-    kernel: Optional[str] = None
     hashes: Optional[Sequence[LinearHash]] = field(default=None)
 
     def sample_hashes(self, rng: RandomSource) -> List[LinearHash]:
         n = self.formula.num_vars
         return presampled_hashes(self.hashes, self.repetitions,
-                                 ToeplitzHashFamily(n, 3 * n,
-                                                    kernel=self.kernel),
-                                 rng)
+                                 ToeplitzHashFamily(n, 3 * n), rng)
 
     def run_repetition(self, h: LinearHash) -> Tuple[Tuple[int, ...], int]:
-        oracle = (NpOracle(self.formula, backend=self.backend,
-                           kernel=self.kernel)
+        oracle = (NpOracle(self.formula, backend=self.backend)
                   if isinstance(self.formula, CnfFormula) else None)
         hashed = HashedSession(oracle, h) if oracle is not None else None
         values = find_min(self.formula, h, self.thresh,
@@ -103,7 +99,6 @@ def approx_model_count_min(
     workers: int = 1,
     executor: Optional[Executor] = None,
     backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> ApproxCountResult:
     """Run ApproxModelCountMin (Algorithm 6); see module docstring.
 
@@ -122,8 +117,6 @@ def approx_model_count_min(
             call totals bit-identical to serial.
         executor: explicit executor overriding ``workers``.
         backend: NP-oracle solver backend name (default when ``None``).
-        kernel: compute-kernel name for the solver inner loops
-            (:mod:`repro.kernels` registry default when ``None``).
 
     Returns:
         An :class:`~repro.core.results.ApproxCountResult` (median of
@@ -136,7 +129,6 @@ def approx_model_count_min(
     """
     strategy = MinimumStrategy(
         formula=formula, thresh=params.thresh,
-        repetitions=params.repetitions, backend=backend, kernel=kernel,
-        hashes=hashes)
+        repetitions=params.repetitions, backend=backend, hashes=hashes)
     return RepetitionEngine(strategy).run(rng, workers=workers,
                                           executor=executor)

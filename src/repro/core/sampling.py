@@ -50,8 +50,7 @@ class SolutionSampler:
 
     def __init__(self, formula: Formula, rng: RandomSource,
                  pivot: int = 24, max_attempts: int = 64,
-                 backend: Optional[str] = None,
-                 kernel: Optional[str] = None) -> None:
+                 backend: Optional[str] = None) -> None:
         if pivot < 2:
             raise InvalidParameterError("pivot must be >= 2")
         self.formula = formula
@@ -61,10 +60,10 @@ class SolutionSampler:
         # The named oracle backend (repro.sat.backends) answers both the
         # rough count and every cell enumeration below.
         self.oracle: Optional[NpOracle] = (
-            NpOracle(formula, backend=backend, kernel=kernel)
+            NpOracle(formula, backend=backend)
             if isinstance(formula, CnfFormula) else None)
         rough = approx_mc(formula, _ROUGH_PARAMS, rng,
-                          backend=backend, kernel=kernel).estimate
+                          backend=backend).estimate
         if rough == 0:
             raise UnsatisfiableError("cannot sample an empty solution set")
         self._rough = rough
@@ -72,7 +71,7 @@ class SolutionSampler:
         ratio = rough / pivot
         self.level = (max(0, min(n, round(math.log2(ratio))))
                       if ratio > 1 else 0)
-        self._family = ToeplitzHashFamily(n, n, kernel=kernel)
+        self._family = ToeplitzHashFamily(n, n)
 
     def sample(self) -> int:
         """One near-uniform solution."""
@@ -109,10 +108,8 @@ class SolutionSampler:
 
 def sample_solutions(formula: Formula, rng: RandomSource, count: int,
                      pivot: int = 24,
-                     backend: Optional[str] = None,
-                     kernel: Optional[str] = None) -> List[int]:
+                     backend: Optional[str] = None) -> List[int]:
     """Draw ``count`` near-uniform solutions of ``formula`` (cell probes
-    on the named oracle ``backend``, solver loops on ``kernel``)."""
-    sampler = SolutionSampler(formula, rng, pivot=pivot, backend=backend,
-                              kernel=kernel)
+    on the named oracle ``backend``)."""
+    sampler = SolutionSampler(formula, rng, pivot=pivot, backend=backend)
     return sampler.sample_many(count)

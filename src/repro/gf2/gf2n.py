@@ -142,10 +142,9 @@ def find_irreducible(n: int) -> int:
 class GF2n:
     """Arithmetic in GF(2^n) with a fixed (deterministic) modulus."""
 
-    __slots__ = ("n", "modulus", "size", "kernel")
+    __slots__ = ("n", "modulus", "size")
 
-    def __init__(self, n: int, modulus: int | None = None,
-                 kernel: str | None = None) -> None:
+    def __init__(self, n: int, modulus: int | None = None) -> None:
         if n < 1:
             raise InvalidParameterError("field degree must be >= 1")
         if modulus is None:
@@ -157,9 +156,6 @@ class GF2n:
         self.n = n
         self.modulus = modulus
         self.size = 1 << n
-        #: Compute-kernel name for the batched paths (None follows the
-        #: registry's override / ``REPRO_KERNEL`` / default resolution).
-        self.kernel = kernel
 
     def add(self, a: int, b: int) -> int:
         """Field addition (XOR)."""
@@ -217,7 +213,7 @@ class GF2n:
         if not coeffs or xs.size == 0:
             return _np.zeros_like(xs)
         coeff_arr = _np.array(coeffs, dtype=_np.uint64)
-        return get_kernel(self.kernel).gf2_eval_poly_batch(
+        return get_kernel().gf2_eval_poly_batch(
             coeff_arr, xs, self.n, self.modulus)
 
     def __repr__(self) -> str:

@@ -133,13 +133,13 @@ class LinearHash:
     """
 
     __slots__ = ("in_bits", "out_bits", "rows", "offsets", "_seed_bits",
-                 "_pack", "_columns", "kernel")
+                 "_pack", "_columns")
 
     is_linear = True
 
     def __init__(self, in_bits: int, rows: Sequence[int],
-                 offsets: Sequence[int], seed_bits: int | None = None,
-                 kernel: str | None = None) -> None:
+                 offsets: Sequence[int],
+                 seed_bits: int | None = None) -> None:
         if len(rows) != len(offsets):
             raise ValueError("rows and offsets must have equal length")
         self.in_bits = in_bits
@@ -150,9 +150,6 @@ class LinearHash:
                            else self.out_bits * (in_bits + 1))
         self._pack = None  # Lazily built numpy row/word layout cache.
         self._columns = None  # Lazily built column table, see columns().
-        #: Compute-kernel name for the batched paths (None follows the
-        #: registry's override / ``REPRO_KERNEL`` / default resolution).
-        self.kernel = kernel
 
     @property
     def seed_bits(self) -> int:
@@ -168,10 +165,9 @@ class LinearHash:
         # first use.
         return {"in_bits": self.in_bits, "out_bits": self.out_bits,
                 "rows": self.rows, "offsets": self.offsets,
-                "_seed_bits": self._seed_bits, "kernel": self.kernel}
+                "_seed_bits": self._seed_bits}
 
     def __setstate__(self, state) -> None:
-        self.kernel = None  # Default for pickles from older layouts.
         for name, value in state.items():
             setattr(self, name, value)
         self._pack = None
@@ -284,7 +280,7 @@ class LinearHash:
             return [self.value(int(x)) for x in xs]
         xs = _np.asarray(xs, dtype=_np.uint64)
         pack = self._packed()
-        return get_kernel(self.kernel).linear_values_batch(
+        return get_kernel().linear_values_batch(
             xs, pack["rows"], pack["shifts"],
             pack["offset_words"][0])  # h(x) = Ax ^ b, b folded once.
 
@@ -300,7 +296,7 @@ class LinearHash:
             return None
         xs = _np.asarray(xs, dtype=_np.uint64)
         pack = self._packed()
-        return get_kernel(self.kernel).linear_values_batch_words(
+        return get_kernel().linear_values_batch_words(
             xs, pack["rows"], pack["shifts"], pack["cols"],
             pack["words"], pack["offset_words"])
 
@@ -317,7 +313,7 @@ class LinearHash:
         """Vectorised :meth:`trail_zeros` (requires ``out_bits <= 64``)."""
         if not self._batchable() or self.out_bits > 64:
             return [self.trail_zeros(int(x)) for x in xs]
-        return get_kernel(self.kernel).trail_zeros_batch(
+        return get_kernel().trail_zeros_batch(
             self.values_batch(xs), self.out_bits)
 
     def cell_levels_batch(self, xs) -> "object":
@@ -330,7 +326,7 @@ class LinearHash:
         if m <= 64:
             # cell_level(v) == out_bits - bit_length(v): hash the chunk in
             # one cached-layout sweep, then a per-element bit length.
-            return m - get_kernel(self.kernel).bit_length_batch(
+            return m - get_kernel().bit_length_batch(
                 self.values_batch(xs))
         pack = self._packed()
         rows = pack["rows"]
@@ -408,7 +404,7 @@ class LinearHash:
     def row_slice(self, m: int) -> "LinearHash":
         """The prefix-slice ``h_m`` as a standalone hash function."""
         return LinearHash(self.in_bits, self.rows[:m], self.offsets[:m],
-                          seed_bits=self._seed_bits, kernel=self.kernel)
+                          seed_bits=self._seed_bits)
 
     def __repr__(self) -> str:
         return (f"LinearHash(in_bits={self.in_bits}, "

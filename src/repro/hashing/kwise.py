@@ -74,7 +74,7 @@ class KWiseHash:
         values = self.values_batch(xs)
         if _np is None or not isinstance(values, _np.ndarray):
             return [trailing_zeros(v, self.out_bits) for v in values]
-        return get_kernel(self.field.kernel).trail_zeros_batch(
+        return get_kernel().trail_zeros_batch(
             values, self.out_bits)
 
     def max_trail_zeros(self, xs) -> int:
@@ -92,13 +92,12 @@ class KWiseHash:
 class KWiseHashFamily(HashFamily):
     """``H_{s-wise}(n, n)``: uniform degree-``s-1`` GF(2^n) polynomials."""
 
-    def __init__(self, in_bits: int, independence: int,
-                 kernel: str | None = None) -> None:
+    def __init__(self, in_bits: int, independence: int) -> None:
         super().__init__(in_bits, in_bits)
         if independence < 1:
             raise ValueError("independence must be >= 1")
         self.independence = independence
-        self._field = GF2n(in_bits, kernel=kernel)
+        self._field = GF2n(in_bits)
 
     @property
     def field(self) -> GF2n:

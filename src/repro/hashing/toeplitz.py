@@ -16,14 +16,9 @@ from repro.hashing.base import HashFamily, LinearHash
 class ToeplitzHashFamily(HashFamily):
     """``H_Toeplitz(n, m)``: sample ``h(x) = A x + b`` with Toeplitz ``A``."""
 
-    def __init__(self, in_bits: int, out_bits: int,
-                 kernel: str | None = None) -> None:
-        super().__init__(in_bits, out_bits)
-        self.kernel = kernel
-
     def sample(self, rng: RandomSource) -> LinearHash:
         matrix = ToeplitzMatrix.random(rng, self.out_bits, self.in_bits)
         offsets = [rng.getrandbits(1) for _ in range(self.out_bits)]
         seed_bits = matrix.seed_bits + self.out_bits
         return LinearHash(self.in_bits, matrix.rows, offsets,
-                          seed_bits=seed_bits, kernel=self.kernel)
+                          seed_bits=seed_bits)

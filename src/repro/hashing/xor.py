@@ -18,21 +18,18 @@ class XorHashFamily(HashFamily):
     """``H_xor(n, m)`` with optional row density for sparse-XOR ablation."""
 
     def __init__(self, in_bits: int, out_bits: int,
-                 density: float = 0.5,
-                 kernel: str | None = None) -> None:
+                 density: float = 0.5) -> None:
         super().__init__(in_bits, out_bits)
         if not 0.0 < density <= 1.0:
             raise ValueError("density must lie in (0, 1]")
         self.density = density
-        self.kernel = kernel
 
     def sample(self, rng: RandomSource) -> LinearHash:
         rows = random_matrix_rows(rng, self.out_bits, self.in_bits,
                                   density=self.density)
         offsets = [rng.getrandbits(1) for _ in range(self.out_bits)]
         seed_bits = self.out_bits * self.in_bits + self.out_bits
-        return LinearHash(self.in_bits, rows, offsets, seed_bits=seed_bits,
-                          kernel=self.kernel)
+        return LinearHash(self.in_bits, rows, offsets, seed_bits=seed_bits)
 
     def __repr__(self) -> str:
         return (f"XorHashFamily(in_bits={self.in_bits}, "

@@ -13,7 +13,7 @@ the loop sources touch only scalars and flat array elements (audited in
 there is nothing for the GIL to protect, and releasing it is what lets
 :class:`~repro.parallel.executor.ThreadExecutor` run repetitions truly
 in parallel.  The :data:`releases_gil` flag advertises this through the
-registry entry so the executor auto-pick can see it.
+registry entry, so the ``auto`` executor picks threads for it.
 
 The compiled functions are *the same source* the ``python`` kernel
 executes (:mod:`repro.kernels.cdcl_loops`,

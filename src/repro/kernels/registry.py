@@ -15,12 +15,16 @@ loops* a configuration flag, like the solver-backend registry in
   registered as *unavailable* when numba is not importable, so listings
   stay honest and selection errors stay friendly).
 
-:data:`KERNELS` is a :class:`repro.common.registry.Registry`: selection
-resolves an explicit name, else the :func:`set_default_kernel` override
-(the CLI's ``--kernel`` flag), else ``REPRO_KERNEL``, else
-:data:`DEFAULT_KERNEL`.  Kernel entries set the ``releases_gil`` flag
-the executor auto-pick reads, and :func:`get_kernel` adds a per-process
-instance cache.
+:data:`KERNELS` is a :class:`repro.common.registry.Registry`.  The
+kernel is a process-wide choice: :func:`get_kernel` resolves the
+:func:`set_default_kernel` override (the CLI's ``--kernel`` flag), else
+``REPRO_KERNEL``, else :data:`DEFAULT_KERNEL`, and no hash, sketch,
+oracle or counter takes a kernel of its own.  Kernels are bit-identical,
+so the choice changes speed, never answers.  A process pool's workers
+run the kernel resolved when the pool was created
+(:class:`~repro.parallel.executor.ProcessExecutor`).  Kernel entries set
+the ``releases_gil`` flag the ``auto`` executor reads, and
+:func:`get_kernel` adds a per-process instance cache.
 
 A kernel is an object with the loop surface documented in DESIGN.md
 (section "Compute-kernel registry"): ``propagate(state)`` over a

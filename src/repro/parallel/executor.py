@@ -64,6 +64,7 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.common.errors import InvalidParameterError
 from repro.common.rng import RandomSource
+from repro.kernels import resolve_kernel_name, set_default_kernel
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -107,7 +108,7 @@ class Executor:
     #: Whether tasks run in the calling process (serial, thread): payloads
     #: cross by reference, nothing is pickled, and in-place mutations are
     #: visible to the caller.  Scatter plumbing uses this to skip
-    #: wire-encoding work that only pays off across a process boundary.
+    #: compaction work that only pays off across a process boundary.
     in_process: bool = False
 
     @property
@@ -190,6 +191,11 @@ def _call_task(fn: Callable, shared: object, task: object) -> object:
     return fn(task, shared)
 
 
+def _init_worker(kernel: str) -> None:
+    """Pool initializer: pin the worker's compute kernel to the parent's."""
+    set_default_kernel(kernel)
+
+
 class ProcessExecutor(Executor):
     """Fan tasks out over a persistent ``multiprocessing`` pool.
 
@@ -199,6 +205,12 @@ class ProcessExecutor(Executor):
     :func:`~repro.parallel.registry.get_executor` can catch a failed
     spawn and degrade to serial).  ``fn`` and ``shared`` travel with
     each worker chunk (``workers`` pickles per map, not ``len(tasks)``).
+
+    A pool's workers run the compute kernel resolved when the pool was
+    created: the initializer sets each worker's kernel override to that
+    name, so the choice holds under every start method (fork, spawn,
+    forkserver), not only through fork inheritance.  Changing the
+    parent's kernel afterwards does not reach an existing pool.
     """
 
     def __init__(self, workers: int) -> None:
@@ -209,7 +221,8 @@ class ProcessExecutor(Executor):
             raise InvalidParameterError(
                 "ProcessExecutor needs >= 2 workers; use SerialExecutor")
         self.workers = workers
-        self._pool = _mp.Pool(workers)
+        self._pool = _mp.Pool(workers, initializer=_init_worker,
+                              initargs=(resolve_kernel_name(),))
 
     def map(self, fn: Callable[[T, object], R], tasks: Sequence[T],
             shared: object = None) -> List[R]:

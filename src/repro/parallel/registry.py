@@ -3,11 +3,9 @@
 *Which backend* a bare ``workers=k`` fans out on is a configuration flag
 instead of a hardcoded ``multiprocessing`` pool:
 
-* ``auto`` (default) -- pick per workload: serial for ``workers<=1``,
-  otherwise a calibrated decision when :mod:`repro.kernels.autopick` has
-  measured this process's workload shape, otherwise a capability
-  heuristic (threads when the resolved compute kernel releases the GIL,
-  processes when it does not).
+* ``auto`` (default) -- serial for ``workers<=1``, otherwise threads
+  when the resolved compute kernel releases the GIL and processes when
+  it does not.
 * ``serial`` -- run everything inline, whatever ``workers`` says.
 * ``thread`` -- :class:`~repro.parallel.executor.ThreadExecutor`
   (zero pickling; real scaling needs a ``releases_gil`` kernel).
@@ -19,7 +17,9 @@ selection resolves an explicit name, else the
 :func:`set_default_executor` override (the CLI's ``--executor`` flag),
 else ``REPRO_EXECUTOR``, else :data:`DEFAULT_EXECUTOR`.
 :func:`get_executor` adds what is executor-specific: the ``workers <= 1``
-short-circuit and the degrade-to-serial fallback.
+short-circuit and the degrade-to-serial fallback.  The compute kernel is
+chosen the same way, once per process (:mod:`repro.kernels.registry`),
+and a process pool carries that choice into its workers.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Optional
 
 from repro.common.errors import InvalidParameterError
 from repro.common.registry import Registry
+from repro.kernels import KERNELS
 from repro.parallel.executor import (
     Executor,
     ProcessExecutor,
@@ -98,17 +99,16 @@ def _make_process(count: int) -> Executor:
 
 
 def _make_auto(count: int) -> Executor:
-    # Lazy import: autopick reaches into the kernel registry (and, when
-    # calibrating, the solver), none of which this module should drag in
-    # at import time.
-    from repro.kernels.autopick import auto_executor
-    return auto_executor(count)
+    # Threads scale only when the kernel's hot loops drop the GIL;
+    # otherwise only processes overlap them.
+    if KERNELS.info(KERNELS.resolve()).releases_gil:
+        return ThreadExecutor(count)
+    return ProcessExecutor(count)
 
 
 register_executor(
     "auto", _make_auto,
-    description=("per-workload pick: calibrated when measured, else "
-                 "thread for GIL-releasing kernels, else process"))
+    description="thread for GIL-releasing kernels, else process")
 register_executor(
     "serial", _make_serial,
     description="run every task inline (ignores workers)")

@@ -51,33 +51,11 @@ def _compact(chunk: Sequence[int]) -> Sequence[int]:
     return arr if arr.dtype.kind in "ui" else chunk
 
 
-class _StoreFrame:
-    """A sketch crossing the process boundary as its versioned wire
-    frame (:mod:`repro.store.serialize`) instead of a pickle.
-
-    Pickling this wrapper ships only the ``bytes`` blob; the worker
-    decodes, ingests, and re-encodes.  The frame format is the same one
-    the sketch store persists and the service transports, so a parallel
-    ingestion pipeline and a sketch service interoperate byte-for-byte.
-    """
-
-    __slots__ = ("blob",)
-
-    def __init__(self, blob: bytes) -> None:
-        self.blob = blob
-
-
 def _ingest_task(task: Tuple[object, List[Sequence[int]]],
                  _shared: object) -> object:
     """Worker body: feed buffered chunks through the sketch's batch path
     and return the (possibly pickled-back) sketch."""
     sketch, chunks = task
-    if isinstance(sketch, _StoreFrame):
-        from repro.store.serialize import dumps, loads
-        decoded = loads(sketch.blob)
-        for chunk in chunks:
-            decoded.process_batch(chunk)
-        return _StoreFrame(dumps(decoded))
     for chunk in chunks:
         sketch.process_batch(chunk)
     return sketch
@@ -85,8 +63,7 @@ def _ingest_task(task: Tuple[object, List[Sequence[int]]],
 
 def ingest_stream_parallel(executor: Executor, sketches: List[object],
                            chunks: Iterable[Sequence[int]],
-                           wave: int = DEFAULT_WAVE,
-                           wire: str = "pickle") -> List[object]:
+                           wave: int = DEFAULT_WAVE) -> List[object]:
     """Scatter ``chunks`` round-robin across ``sketches`` on ``executor``.
 
     Chunk ``j`` goes wholly to sketch ``j mod k`` -- never re-sliced per
@@ -95,34 +72,10 @@ def ingest_stream_parallel(executor: Executor, sketches: List[object],
     tails.  Returns the ingested sketches in their original order (new
     objects under a process pool, the same objects mutated in place
     under a serial executor).
-
-    ``wire`` selects how sketches cross the process boundary:
-    ``"pickle"`` (default) ships them as pickles; ``"store"`` ships the
-    versioned binary frames of :mod:`repro.store.serialize` -- the same
-    bytes a sketch service would accept, with bit-identical estimates
-    either way (property-tested in ``tests/test_store.py``).  In-process
-    executors (serial, thread) ignore the knob: nothing crosses a
-    boundary, so wire-encoding would be pure overhead.
     """
-    if wire not in ("pickle", "store"):
-        raise ValueError(f"unknown wire {wire!r}; use 'pickle' or 'store'")
     k = len(sketches)
     if k == 0:
         return sketches
-    if wire == "store" and not executor.in_process:
-        from repro.store.serialize import dumps, loads
-        sketches = [_StoreFrame(dumps(sk)) for sk in sketches]
-        ingested = _scatter(executor, sketches, chunks, wave)
-        return [loads(sk.blob) if isinstance(sk, _StoreFrame) else sk
-                for sk in ingested]
-    return _scatter(executor, sketches, chunks, wave)
-
-
-def _scatter(executor: Executor, sketches: List[object],
-             chunks: Iterable[Sequence[int]],
-             wave: int) -> List[object]:
-    """The wave loop shared by both wire encodings."""
-    k = len(sketches)
     pending: List[List[Sequence[int]]] = [[] for _ in range(k)]
     buffered = 0
     index = 0

@@ -93,9 +93,8 @@ class SolverBackend(Protocol):
 
 
 #: Entry factories map formula + fixed XOR side constraints to a solver.
-#: They also accept a ``kernel`` keyword naming the compute kernel
-#: (:mod:`repro.kernels`) for the propagation inner loop; backends whose
-#: hot loop is not kernelised (bruteforce, pysat) accept and ignore it.
+#: A backend with a kernelised inner loop (cdcl) runs the process-wide
+#: compute kernel (:mod:`repro.kernels`); none takes a kernel argument.
 BACKENDS = Registry("oracle backend", DEFAULT_BACKEND)
 
 register_backend = BACKENDS.register
@@ -105,21 +104,10 @@ has_backend = BACKENDS.has
 
 
 def create_solver(name: Optional[str], formula: CnfFormula,
-                  xors: Iterable[XorConstraint] = (),
-                  kernel: Optional[str] = None) -> SolverBackend:
+                  xors: Iterable[XorConstraint] = ()) -> SolverBackend:
     """Instantiate the named backend (``None`` -> the default) for a
-    formula plus fixed XOR side constraints.  ``kernel`` selects the
-    compute kernel for backends that propagate through one."""
-    return BACKENDS.get(name).factory(formula, xors, kernel=kernel)
-
-
-# ----------------------------------------------------------------------
-# cdcl: the in-tree solver (already speaks the protocol natively)
-# ----------------------------------------------------------------------
-
-def _make_cdcl(formula: CnfFormula, xors: Iterable[XorConstraint] = (),
-               kernel: Optional[str] = None) -> CdclSolver:
-    return CdclSolver.from_cnf(formula, xors, kernel=kernel)
+    formula plus fixed XOR side constraints."""
+    return BACKENDS.get(name).factory(formula, xors)
 
 
 # ----------------------------------------------------------------------
@@ -158,11 +146,9 @@ class BruteForceSolver:
         self.ok = True
 
     @classmethod
-    def from_cnf(cls, cnf: CnfFormula, xors: Iterable[XorConstraint] = (),
-                 kernel: Optional[str] = None) -> "BruteForceSolver":
-        """Load ``cnf`` plus fixed XOR rows.  ``kernel`` is accepted for
-        factory-signature uniformity; the exhaustive scan has no
-        kernelised inner loop."""
+    def from_cnf(cls, cnf: CnfFormula,
+                 xors: Iterable[XorConstraint] = ()) -> "BruteForceSolver":
+        """Load ``cnf`` plus fixed XOR rows."""
         solver = cls(cnf.num_vars)
         for clause in cnf.clauses:
             solver.add_clause(clause)
@@ -340,11 +326,9 @@ class PySatSolver:
         self.ok = True
 
     @classmethod
-    def from_cnf(cls, cnf: CnfFormula, xors: Iterable[XorConstraint] = (),
-                 kernel: Optional[str] = None) -> "PySatSolver":
-        """Load ``cnf`` plus fixed XOR rows.  ``kernel`` is accepted for
-        factory-signature uniformity; the compiled pysat engines bring
-        their own inner loops."""
+    def from_cnf(cls, cnf: CnfFormula,
+                 xors: Iterable[XorConstraint] = ()) -> "PySatSolver":
+        """Load ``cnf`` plus fixed XOR rows."""
         solver = cls(cnf.num_vars)
         for clause in cnf.clauses:
             solver.add_clause(clause)
@@ -458,7 +442,7 @@ class PySatSolver:
 # ----------------------------------------------------------------------
 
 register_backend(
-    "cdcl", _make_cdcl,
+    "cdcl", CdclSolver.from_cnf,
     "in-tree CDCL solver with native XOR propagation")
 register_backend(
     "bruteforce", BruteForceSolver.from_cnf,

@@ -172,31 +172,23 @@ class NpOracle:
             registry default.  The *name* is stored, not the solver, so
             oracles stay cheap to build and picklable for the
             process-parallel repetition engine.
-        kernel: name of the compute kernel (:mod:`repro.kernels`) the
-            backend's propagation inner loop runs on; ``None`` follows
-            the registry's override / ``REPRO_KERNEL`` / default
-            resolution.  Stored by name for the same picklability
-            reason as ``backend``.
 
     Raises:
         KeyError: an unregistered ``backend`` name (surfaced when the
             first session is opened).
     """
 
-    def __init__(self, formula: CnfFormula, backend: Optional[str] = None,
-                 kernel: Optional[str] = None) -> None:
+    def __init__(self, formula: CnfFormula,
+                 backend: Optional[str] = None) -> None:
         self.formula = formula
         #: Name of the registered solver backend sessions resolve.
         self.backend = backend or DEFAULT_BACKEND
-        #: Compute-kernel name handed to every session's solver.
-        self.kernel = kernel
         #: Total satisfiability decisions issued through this oracle.
         self.calls = 0
 
     def _new_solver(self, xors: Iterable[XorConstraint] = ()) -> SolverBackend:
         """Instantiate this oracle's backend for one session."""
-        return create_solver(self.backend, self.formula, xors,
-                             kernel=self.kernel)
+        return create_solver(self.backend, self.formula, xors)
 
     def session(self, xors: Iterable[XorConstraint] = ()) -> OracleSession:
         """Open an incremental context (formula + fixed XOR constraints)."""
@@ -261,15 +253,14 @@ class EnumerationOracle:
     @classmethod
     def from_cnf(cls, formula: CnfFormula,
                  limit: Optional[int] = None,
-                 backend: Optional[str] = None,
-                 kernel: Optional[str] = None) -> "EnumerationOracle":
+                 backend: Optional[str] = None) -> "EnumerationOracle":
         """Enumerate a CNF's models (vectorised brute force when the
         variable count permits, else an uncounted solver loop on the
-        named oracle backend and compute kernel)."""
+        named oracle backend)."""
         from repro.core.exact import _MAX_BRUTEFORCE_BITS, cnf_models_numpy
         if formula.num_vars <= _MAX_BRUTEFORCE_BITS and limit is None:
             return cls(cnf_models_numpy(formula))
-        oracle = NpOracle(formula, backend=backend, kernel=kernel)
+        oracle = NpOracle(formula, backend=backend)
         models = oracle.enumerate_models(limit=limit)
         return cls(models)
 
@@ -287,8 +278,7 @@ class EnumerationOracle:
 
 def oracle_for(formula: Union[CnfFormula, DnfFormula],
                backend: Optional[str] = None,
-               polynomial_hashes: bool = False,
-               kernel: Optional[str] = None
+               polynomial_hashes: bool = False
                ) -> "Union[NpOracle, EnumerationOracle]":
     """The one front door for building an oracle over a formula.
 
@@ -301,9 +291,6 @@ def oracle_for(formula: Union[CnfFormula, DnfFormula],
             solver-backed enumeration (registry default when ``None``).
         polynomial_hashes: ``True`` when queries will constrain s-wise
             *polynomial* hashes, which no XOR encoding can express.
-        kernel: compute-kernel name (:mod:`repro.kernels`) for the
-            backend's propagation loop (resolution default when
-            ``None``).
 
     Returns:
         A call-counting :class:`NpOracle` for CNF with linear hashes;
@@ -318,6 +305,5 @@ def oracle_for(formula: Union[CnfFormula, DnfFormula],
     if isinstance(formula, DnfFormula):
         return EnumerationOracle.from_dnf(formula)
     if polynomial_hashes:
-        return EnumerationOracle.from_cnf(formula, backend=backend,
-                                          kernel=kernel)
-    return NpOracle(formula, backend=backend, kernel=kernel)
+        return EnumerationOracle.from_cnf(formula, backend=backend)
+    return NpOracle(formula, backend=backend)

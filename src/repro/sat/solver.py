@@ -19,15 +19,16 @@ through a pluggable compute kernel (:mod:`repro.kernels`): solver state
 lives in the preallocated flat numpy arrays of
 :class:`repro.kernels.state.SolverState` (CSR-style clause pool, arena
 watch lists, int64 register file), and :meth:`_propagate` hands those
-arrays to the selected kernel (``python`` memoryview loop by default,
-njit-compiled when ``kernel="numba"`` is selected and numba is
-installed).  Everything outside the hot loop -- conflict analysis,
-activities, restarts, the learnt database -- stays in ordinary python,
-reading the same arrays.  Conflicts and reasons cross the boundary as
-integer codes (``>= 0`` a clause index, ``-row - 2`` an XOR row,
-``-1`` none); reason *clauses* are materialised lazily from the codes
-during conflict analysis, which is safe because a reason's literals are
-all still assigned, unchanged, whenever the reason is inspected.
+arrays to the process-wide kernel (``python`` memoryview loop by
+default, njit-compiled when ``numba`` is selected and installed).  A
+solver resolves the kernel once, at construction.  Everything outside
+the hot loop -- conflict analysis, activities, restarts, the learnt
+database -- stays in ordinary python, reading the same arrays.
+Conflicts and reasons cross the boundary as integer codes (``>= 0`` a
+clause index, ``-row - 2`` an XOR row, ``-1`` none); reason *clauses*
+are materialised lazily from the codes during conflict analysis, which
+is safe because a reason's literals are all still assigned, unchanged,
+whenever the reason is inspected.
 
 Literals cross the public API in DIMACS convention (positive/negative
 integers); internally literal ``2*(v-1)`` is "variable v true" and
@@ -107,10 +108,9 @@ class CdclSolver:
     LEARNT_BASE = 400
     LEARNT_GROWTH = 1.2
 
-    def __init__(self, num_vars: int = 0,
-                 kernel: Optional[str] = None) -> None:
+    def __init__(self, num_vars: int = 0) -> None:
         #: The resolved kernel name this solver propagates with.
-        self.kernel_name = resolve_kernel_name(kernel)
+        self.kernel_name = resolve_kernel_name()
         self._kernel = get_kernel(self.kernel_name)
         self._state = SolverState()
         self.num_vars = 0
@@ -134,10 +134,10 @@ class CdclSolver:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_cnf(cls, cnf: CnfFormula, xors: Iterable[XorConstraint] = (),
-                 kernel: Optional[str] = None) -> "CdclSolver":
+    def from_cnf(cls, cnf: CnfFormula,
+                 xors: Iterable[XorConstraint] = ()) -> "CdclSolver":
         """Build a solver loaded with a CNF formula and XOR constraints."""
-        solver = cls(cnf.num_vars, kernel=kernel)
+        solver = cls(cnf.num_vars)
         for clause in cnf.clauses:
             solver.add_clause(clause)
         for xc in xors:

@@ -53,6 +53,7 @@ exception's message.
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 import urllib.parse
@@ -246,6 +247,23 @@ class Router:
                              f"query parameter {key!r} must be a number")
 
     @staticmethod
+    def _number(payload: dict, key: str, default, cast=float):
+        """``payload[key]`` through ``cast`` (``default`` when absent);
+        null, booleans, containers and non-finite values answer 400."""
+        if key not in payload:
+            return default
+        value = payload[key]
+        try:
+            if isinstance(value, bool):
+                raise TypeError(key)
+            number = cast(value)
+        except (TypeError, ValueError, OverflowError):
+            raise RouteError(400, f"{key} must be a number") from None
+        if isinstance(number, float) and not math.isfinite(number):
+            raise RouteError(400, f"{key} must be a number")
+        return number
+
+    @staticmethod
     def _json_body(body: bytes) -> dict:
         if not body:
             return {}
@@ -331,22 +349,21 @@ class Router:
             raise RouteError(
                 400, "sketch names must be 1-128 chars of "
                      "[A-Za-z0-9._:-], starting alphanumeric")
+        number = self._number
         params = SketchParams(
-            eps=float(payload.get("eps", 0.8)),
-            delta=float(payload.get("delta", 0.2)),
-            thresh_constant=float(payload.get("thresh_constant", 96.0)),
-            repetitions_constant=float(
-                payload.get("repetitions_constant", 35.0)))
-        window = payload.get("window")
-        buckets = payload.get("buckets")
-        sketch = build_sketch(
-            kind, int(payload.get("universe_bits", 0)), params,
-            seed=int(payload.get("seed", 0)),
-            shards=int(payload.get("shards", 1)),
-            window=float(window) if window is not None else None,
-            buckets=int(buckets) if buckets is not None else None)
-        ttl = payload.get("ttl")
-        self.store.create(name, sketch, ttl=float(ttl) if ttl else None)
+            eps=number(payload, "eps", 0.8),
+            delta=number(payload, "delta", 0.2),
+            thresh_constant=number(payload, "thresh_constant", 96.0),
+            repetitions_constant=number(payload, "repetitions_constant",
+                                        35.0))
+        universe_bits = number(payload, "universe_bits", 0, int)
+        options = dict(seed=number(payload, "seed", 0, int),
+                       shards=number(payload, "shards", 1, int),
+                       window=number(payload, "window", None),
+                       buckets=number(payload, "buckets", None, int))
+        ttl = number(payload, "ttl", None)
+        sketch = build_sketch(kind, universe_bits, params, **options)
+        self.store.create(name, sketch, ttl=ttl or None)
         return Response.json(201, {"created": name, "kind": kind})
 
     def _snapshot(self, body: bytes) -> Response:

@@ -29,9 +29,9 @@ Design rules:
   faithful or an exception, never a silently wrong estimate.
 
 The format is the service's interchange unit: shard workers upload
-serialized sketches, :class:`~repro.store.store.SketchStore` snapshots
-concatenate them, and :mod:`repro.parallel.streaming` can ship them in
-place of pickles (``wire="store"``).
+serialized sketches and :class:`~repro.store.store.SketchStore`
+snapshots concatenate them.  Sketch replicas crossing a local process
+pool (:mod:`repro.parallel.streaming`) travel as pickles instead.
 """
 
 from __future__ import annotations

@@ -183,8 +183,7 @@ def chunked(stream: Iterable[int],
 def compute_f0(stream: Iterable[int], estimator: F0Estimator,
                chunk_size: int = DEFAULT_CHUNK_SIZE,
                workers: int = 1,
-               executor: Optional[Executor] = None,
-               wire: str = "pickle") -> float:
+               executor: Optional[Executor] = None) -> float:
     """The paper's Algorithm 1 driver, chunked.
 
     The stream (any iterable, including generators) is cut into chunks
@@ -208,9 +207,6 @@ def compute_f0(stream: Iterable[int], estimator: F0Estimator,
         workers: process-pool width (``0`` = all cores, ``1`` = serial).
         executor: explicit executor overriding ``workers`` (the caller
             keeps ownership and must close it).
-        wire: replica transport under a pool -- ``"pickle"`` (default)
-            or ``"store"`` for the versioned binary frames of
-            :mod:`repro.store.serialize`.
 
     Returns:
         The estimator's estimate after the whole stream is ingested.
@@ -224,7 +220,7 @@ def compute_f0(stream: Iterable[int], estimator: F0Estimator,
             replicas = [copy.deepcopy(estimator)
                         for _ in range(ex.workers)]
             replicas = ingest_stream_parallel(
-                ex, replicas, chunked(stream, chunk_size), wire=wire)
+                ex, replicas, chunked(stream, chunk_size))
             for replica in replicas:
                 estimator.merge(replica)
             return estimator.estimate()

@@ -151,11 +151,10 @@ class BucketingF0:
     """Median over ``t`` independent :class:`BucketingRow` repetitions."""
 
     def __init__(self, universe_bits: int, params: SketchParams,
-                 rng: RandomSource, kernel: str | None = None) -> None:
+                 rng: RandomSource) -> None:
         self.universe_bits = universe_bits
         self.params = params
-        family = ToeplitzHashFamily(universe_bits, universe_bits,
-                                    kernel=kernel)
+        family = ToeplitzHashFamily(universe_bits, universe_bits)
         self.rows: List[BucketingRow] = [
             BucketingRow(family.sample(rng), params.thresh)
             for _ in range(params.repetitions)

@@ -98,13 +98,12 @@ class EstimationF0:
 
     def __init__(self, universe_bits: int, params: SketchParams,
                  rng: RandomSource,
-                 independence: int | None = None,
-                 kernel: str | None = None) -> None:
+                 independence: int | None = None) -> None:
         self.universe_bits = universe_bits
         self.params = params
         if independence is None:
             independence = independence_for_eps(params.eps)
-        family = KWiseHashFamily(universe_bits, independence, kernel=kernel)
+        family = KWiseHashFamily(universe_bits, independence)
         self.rows: List[EstimationRow] = [
             EstimationRow([family.sample(rng)
                            for _ in range(params.thresh)])

@@ -26,11 +26,11 @@ class FlajoletMartinF0:
     """Median of ``repetitions`` independent single-hash FM estimators."""
 
     def __init__(self, universe_bits: int, rng: RandomSource,
-                 repetitions: int = 1, kernel: str | None = None) -> None:
+                 repetitions: int = 1) -> None:
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         self.universe_bits = universe_bits
-        family = XorHashFamily(universe_bits, universe_bits, kernel=kernel)
+        family = XorHashFamily(universe_bits, universe_bits)
         self.hashes = [family.sample(rng) for _ in range(repetitions)]
         self.max_trail: List[int] = [-1] * repetitions  # -1: empty stream.
 

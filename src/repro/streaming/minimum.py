@@ -159,11 +159,10 @@ class MinimumF0:
     """
 
     def __init__(self, universe_bits: int, params: SketchParams,
-                 rng: RandomSource, kernel: str | None = None) -> None:
+                 rng: RandomSource) -> None:
         self.universe_bits = universe_bits
         self.params = params
-        family = ToeplitzHashFamily(universe_bits, 3 * universe_bits,
-                                    kernel=kernel)
+        family = ToeplitzHashFamily(universe_bits, 3 * universe_bits)
         self.rows: List[MinimumRow] = [
             MinimumRow(family.sample(rng), params.thresh)
             for _ in range(params.repetitions)

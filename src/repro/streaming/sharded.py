@@ -114,8 +114,7 @@ class ShardedF0:
     def process_stream(self, stream: Iterable[int],
                        chunk_size: int = DEFAULT_CHUNK_SIZE,
                        workers: int = 1,
-                       executor: Optional[Executor] = None,
-                       wire: str = "pickle") -> None:
+                       executor: Optional[Executor] = None) -> None:
         """Chunk an iterable and scatter it across the shards.
 
         Args:
@@ -129,12 +128,8 @@ class ShardedF0:
             executor: explicit :class:`~repro.parallel.executor.Executor`
                 to use instead of resolving ``workers`` (caller keeps
                 ownership).
-            wire: how shard replicas cross the process boundary under a
-                pool -- ``"pickle"`` (default) or ``"store"`` for the
-                versioned binary frames of :mod:`repro.store.serialize`.
 
-        Estimates are bit-identical for any worker count and either
-        wire encoding.
+        Estimates are bit-identical for any worker count.
         """
         with executor_for(workers, executor) as ex:
             if ex.is_serial:
@@ -142,8 +137,7 @@ class ShardedF0:
                     self.process_batch(chunk)
             else:
                 self.shards = ingest_stream_parallel(
-                    ex, self.shards, chunked(stream, chunk_size),
-                    wire=wire)
+                    ex, self.shards, chunked(stream, chunk_size))
                 self._version += 1
 
     def merge(self, other: "ShardedF0") -> None:

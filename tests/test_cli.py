@@ -317,7 +317,7 @@ class TestListVerb:
         assert "[unavailable: dependency not installed]" in out
         assert "[releases GIL]" in out  # numba, listed even when missing.
         assert "resolved: auto (default)" in out
-        assert "auto-pick (heuristic)" in out
+        assert "auto-pick" not in out
 
     def test_list_reports_env_source(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "thread")
@@ -402,6 +402,23 @@ class TestEnvResolution:
             assert resolve_kernel_name("numba") == "numba"
         finally:
             set_default_kernel(None)
+
+    def test_main_restores_existing_overrides(self, cnf_file, capsys):
+        """``--kernel``/``--executor`` scope the overrides to one command
+        and hand an in-process caller its own overrides back."""
+        from repro.kernels import KERNELS
+        from repro.parallel.registry import EXECUTORS
+
+        KERNELS.set_default("python")
+        EXECUTORS.set_default("thread")
+        try:
+            assert main(["count", cnf_file, "--kernel", "python",
+                         "--executor", "serial"]) == 0
+            assert KERNELS.override == "python"
+            assert EXECUTORS.override == "thread"
+        finally:
+            KERNELS.set_default(None)
+            EXECUTORS.set_default(None)
 
     def test_bad_frontend_env_friendly_serve_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_FRONTEND", "bogus")

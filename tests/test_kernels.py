@@ -9,12 +9,17 @@ sketches and estimates out of the counters.  A kernel that is merely
 tests elsewhere in the suite, so this file is the price of admission for
 a registry entry.
 
+Kernels are a process-wide choice, so every parity case selects its
+kernel with :func:`set_default_kernel` (:func:`using_kernel`) and
+clears it afterwards.
+
 The ``numba`` kernel is a soft dependency: its cross-kernel cases are
 skipped when it is not importable.  The CI job that installs it exports
 ``REQUIRE_NUMBA=1`` so a silently missing registration fails loudly
 there (mirroring ``REQUIRE_PYSAT`` for the solver backends).
 """
 
+import contextlib
 import os
 import pickle
 import random
@@ -47,6 +52,7 @@ from repro.kernels import (
     set_default_kernel,
 )
 from repro.kernels import state as kstate
+from repro.sat.backends import create_solver
 from repro.sat.bruteforce import brute_force_models
 from repro.sat.oracle import NpOracle
 from repro.sat.solver import CdclSolver
@@ -56,6 +62,16 @@ np = pytest.importorskip("numpy")
 
 #: Kernels whose soft dependencies are importable here.
 AVAILABLE = [n for n in kernel_names() if kernel_info(n).available]
+
+
+@contextlib.contextmanager
+def using_kernel(kernel):
+    """Make ``kernel`` the process-wide kernel for the block."""
+    set_default_kernel(kernel)
+    try:
+        yield
+    finally:
+        set_default_kernel(None)
 
 
 def corpus():
@@ -95,8 +111,9 @@ def cnf_xor_instance(draw):
 
 
 def _enumerate(formula, xors, kernel):
-    oracle = NpOracle(formula, kernel=kernel)
-    models = oracle.enumerate_models(xors)
+    with using_kernel(kernel):
+        oracle = NpOracle(formula)
+        models = oracle.enumerate_models(xors)
     return models, oracle.calls
 
 
@@ -114,10 +131,14 @@ class TestSolverParity:
 
     @pytest.mark.parametrize("kernel", AVAILABLE)
     def test_solver_records_resolved_kernel_name(self, kernel):
-        solver = CdclSolver(2, kernel=kernel)
+        # The solver resolves the process-wide kernel once, at
+        # construction; clearing the override later does not move it.
+        with using_kernel(kernel):
+            solver = CdclSolver(2)
+            backend_solver = create_solver("cdcl", CnfFormula(2, [[1]]))
         assert solver.kernel_name == kernel
-        oracle = NpOracle(CnfFormula(2, [[1]]), kernel=kernel)
-        assert oracle.kernel == kernel
+        assert solver._kernel is get_kernel(kernel)
+        assert backend_solver.kernel_name == kernel
 
     @given(cnf_xor_instance())
     @settings(max_examples=60, deadline=None)
@@ -156,11 +177,12 @@ class TestHashingParity:
     @pytest.mark.parametrize("n", [1, 8, 13, 32, 63])
     def test_gf2_eval_poly_batch(self, kernel, n):
         rng = random.Random(n)
-        field = GF2n(n, kernel=kernel)
+        field = GF2n(n)
         coeffs = [rng.getrandbits(n) for _ in range(5)]
         xs = np.array([rng.getrandbits(n) for _ in range(64)],
                       dtype=np.uint64)
-        got = field.eval_poly_batch(coeffs, xs)
+        with using_kernel(kernel):
+            got = field.eval_poly_batch(coeffs, xs)
         expected = [field.eval_poly(coeffs, int(x)) for x in xs]
         assert [int(v) for v in got] == expected
 
@@ -168,17 +190,18 @@ class TestHashingParity:
     @pytest.mark.parametrize("out_bits", [1, 20, 64, 70, 130])
     def test_linear_hash_batches(self, kernel, out_bits):
         rng = random.Random(out_bits)
-        h = ToeplitzHashFamily(20, out_bits, kernel=kernel).sample(rng)
+        h = ToeplitzHashFamily(20, out_bits).sample(rng)
         xs = np.array([rng.getrandbits(20) for _ in range(64)],
                       dtype=np.uint64)
         expected = [h.value(int(x)) for x in xs]
-        if out_bits <= 64:
-            values = h.values_batch(xs)
-            assert [int(v) for v in values] == expected
-        else:
-            words = h.values_batch_words(xs)
-            assert [h.words_to_int(row) for row in words] == expected
-        tz = h.trail_zeros_batch(xs)
+        with using_kernel(kernel):
+            if out_bits <= 64:
+                values = h.values_batch(xs)
+                assert [int(v) for v in values] == expected
+            else:
+                words = h.values_batch_words(xs)
+                assert [h.words_to_int(row) for row in words] == expected
+            tz = h.trail_zeros_batch(xs)
         assert [int(t) for t in tz] == \
             [trailing_zeros(h.value(int(x)), out_bits) for x in xs]
 
@@ -188,17 +211,16 @@ class TestHashingParity:
         values = np.array([0, 1, 2, 3] +
                           [rng.getrandbits(64) for _ in range(60)],
                           dtype=np.uint64)
-        tz = trailing_zeros_batch(values, 64, kernel=kernel)
+        with using_kernel(kernel):
+            tz = trailing_zeros_batch(values, 64)
+            bl = bit_length_batch(values)
         assert [int(t) for t in tz] == \
             [trailing_zeros(int(v), 64) for v in values]
-        bl = bit_length_batch(values, kernel=kernel)
         assert [int(b) for b in bl] == [int(v).bit_length() for v in values]
 
-    def test_linear_hash_pickles_with_kernel(self):
-        h = ToeplitzHashFamily(8, 8, kernel=DEFAULT_KERNEL).sample(
-            random.Random(1))
+    def test_linear_hash_pickle_round_trip(self):
+        h = ToeplitzHashFamily(8, 8).sample(random.Random(1))
         clone = pickle.loads(pickle.dumps(h))
-        assert clone.kernel == DEFAULT_KERNEL
         assert clone.value(0b1011) == h.value(0b1011)
 
 
@@ -211,10 +233,10 @@ class TestCounterParity:
     @pytest.mark.parametrize("kernel", AVAILABLE)
     def test_approx_mc_estimate_and_calls(self, kernel):
         formula = random_k_cnf(random.Random(5), 10, 25, k=3)
-        reference = approx_mc(formula, self.PARAMS, random.Random(0),
-                              kernel=DEFAULT_KERNEL)
-        result = approx_mc(formula, self.PARAMS, random.Random(0),
-                           kernel=kernel)
+        with using_kernel(DEFAULT_KERNEL):
+            reference = approx_mc(formula, self.PARAMS, random.Random(0))
+        with using_kernel(kernel):
+            result = approx_mc(formula, self.PARAMS, random.Random(0))
         assert result.estimate == reference.estimate
         assert result.oracle_calls == reference.oracle_calls
         assert result.iteration_sketches == reference.iteration_sketches

@@ -19,9 +19,12 @@ Four pillars:
 * **Executor matrix** -- all four counter strategies plus sharded
   ingestion are bit-identical (estimates, per-repetition sketches,
   oracle-call totals) across serial/thread/process, on every available
-  compute kernel.
+  compute kernel.  The kernel is the process-wide choice: each case sets
+  it, builds its process pool inside that scope, and checks the pool's
+  workers run it too.
 """
 
+import multiprocessing
 import os
 import pickle
 import random
@@ -39,7 +42,14 @@ from repro.formulas.generators import (fixed_count_dnf, random_dnf,
                                        random_k_cnf)
 from repro.hashing.kwise import KWiseHashFamily
 from repro.hashing.toeplitz import ToeplitzHashFamily
-from repro.kernels import kernel_info, kernel_names
+from repro.kernels import (
+    DEFAULT_KERNEL,
+    kernel_info,
+    kernel_names,
+    resolve_kernel_name,
+    set_default_kernel,
+)
+from repro.parallel import executor as executor_module
 from repro.parallel import (
     DEFAULT_EXECUTOR,
     ProcessExecutor,
@@ -105,6 +115,10 @@ def _double(task, shared):
 
 def _ident(task, shared):
     return task
+
+
+def _worker_kernel(task, shared):
+    return resolve_kernel_name()
 
 
 class TestExecutorContract:
@@ -463,30 +477,21 @@ class TestExecutorRegistry:
         finally:
             ex.close()
 
-    def test_autopick_calibration_and_cache(self):
-        from repro.kernels import autopick
-
-        autopick.clear_cache()
+    def test_spawned_workers_take_the_parents_kernel(self, monkeypatch):
+        # Under spawn nothing is inherited but the environment, which
+        # here names a different kernel: only the pool initializer can
+        # carry the parent's override into the workers.
+        other = next(n for n in kernel_names() if n != DEFAULT_KERNEL)
+        monkeypatch.setenv("REPRO_KERNEL", other)
+        monkeypatch.setattr(executor_module, "_mp",
+                            multiprocessing.get_context("spawn"))
+        set_default_kernel(DEFAULT_KERNEL)
         try:
-            decision = autopick.pick(workers=2, calibrate=True)
-            assert decision.calibrated
-            assert decision.kernel in kernel_names()
-            assert decision.executor in ("serial", "thread", "process")
-            assert decision.timings  # one entry per probed pair
-            assert all(seconds > 0 for _, _, seconds in decision.timings)
-            # The calibrated decision is cached and a later heuristic
-            # request must not displace it.
-            again = autopick.pick(workers=2)
-            assert again is decision
+            with ProcessExecutor(2) as ex:
+                names = ex.map(_worker_kernel, list(range(4)))
         finally:
-            autopick.clear_cache()
-
-    def test_autopick_serial_below_two_workers(self):
-        from repro.kernels.autopick import pick
-
-        decision = pick(workers=1)
-        assert decision.executor == "serial"
-        assert not decision.calibrated
+            set_default_kernel(None)
+        assert names == [DEFAULT_KERNEL] * 4
 
     def test_releases_gil_capability_flags(self):
         assert not kernel_info("python").releases_gil
@@ -592,15 +597,34 @@ class TestPackedCacheConcurrency:
 AVAILABLE_KERNELS = [n for n in kernel_names() if kernel_info(n).available]
 
 COUNTER_RUNNERS = {
-    "approxmc": lambda formula, kernel, **kw: approx_mc(
-        formula, COUNT_PARAMS, random.Random(7), kernel=kernel, **kw),
-    "min": lambda formula, kernel, **kw: approx_model_count_min(
-        formula, COUNT_PARAMS, random.Random(7), kernel=kernel, **kw),
-    "est": lambda formula, kernel, **kw: approx_model_count_est(
-        formula, COUNT_PARAMS, random.Random(7), kernel=kernel, **kw),
-    "fm": lambda formula, kernel, **kw: flajolet_martin_count(
-        formula, random.Random(9), repetitions=5, kernel=kernel, **kw),
+    "approxmc": lambda formula, **kw: approx_mc(
+        formula, COUNT_PARAMS, random.Random(7), **kw),
+    "min": lambda formula, **kw: approx_model_count_min(
+        formula, COUNT_PARAMS, random.Random(7), **kw),
+    "est": lambda formula, **kw: approx_model_count_est(
+        formula, COUNT_PARAMS, random.Random(7), **kw),
+    "fm": lambda formula, **kw: flajolet_martin_count(
+        formula, random.Random(9), repetitions=5, **kw),
 }
+
+
+@pytest.fixture
+def kernel(request):
+    """Make the (indirectly parametrised) kernel the process-wide choice
+    for one test, and clear it afterwards."""
+    set_default_kernel(request.param)
+    try:
+        yield request.param
+    finally:
+        set_default_kernel(None)
+
+
+@pytest.fixture
+def kernel_pool(kernel):
+    """A process pool built inside the ``kernel`` scope, so its workers
+    run that kernel (a module-wide pool would keep the old one)."""
+    with ProcessExecutor(4) as executor:
+        yield executor
 
 
 def _result_tuple(result):
@@ -612,28 +636,33 @@ def _result_tuple(result):
 
 
 class TestExecutorMatrixParity:
-    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS, indirect=True)
+    def test_pool_workers_run_the_process_kernel(self, kernel,
+                                                 kernel_pool):
+        names = kernel_pool.map(_worker_kernel, list(range(16)))
+        assert names == [kernel] * 16
+
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS, indirect=True)
     @pytest.mark.parametrize("counter", sorted(COUNTER_RUNNERS))
     def test_counters_identical_across_executors(self, counter, kernel,
-                                                 pool, thread_pool):
+                                                 kernel_pool, thread_pool):
         run = COUNTER_RUNNERS[counter]
-        reference = _result_tuple(run(CNF, kernel))  # workers=1 serial.
-        for name, ex in (("thread", thread_pool), ("process", pool)):
-            outcome = _result_tuple(run(CNF, kernel, executor=ex))
+        reference = _result_tuple(run(CNF))  # workers=1 serial.
+        for name, ex in (("thread", thread_pool), ("process", kernel_pool)):
+            outcome = _result_tuple(run(CNF, executor=ex))
             assert outcome == reference, (
                 f"{counter} under kernel={kernel} executor={name} "
                 f"diverged from serial")
 
-    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
+    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS, indirect=True)
     def test_sharded_ingestion_identical_across_executors(
-            self, kernel, pool, thread_pool):
+            self, kernel, kernel_pool, thread_pool):
         stream = shuffled_stream_with_f0(random.Random(31), UNIVERSE_BITS,
                                          260, 900)
 
         def ingest(executor):
             sharded = ShardedF0(
-                MinimumF0(UNIVERSE_BITS, SMALL, random.Random(41),
-                          kernel=kernel), 4)
+                MinimumF0(UNIVERSE_BITS, SMALL, random.Random(41)), 4)
             sharded.process_stream(stream, chunk_size=64,
                                    executor=executor)
             return (sharded.estimate(),
@@ -642,7 +671,7 @@ class TestExecutorMatrixParity:
 
         reference = ingest(None)  # Serial.
         assert ingest(thread_pool) == reference
-        assert ingest(pool) == reference
+        assert ingest(kernel_pool) == reference
 
     def test_dnf_min_count_identical_across_executors(self, pool,
                                                       thread_pool):
@@ -651,10 +680,10 @@ class TestExecutorMatrixParity:
         tables) by reference, process tasks rebuild them from pickles."""
         formula = random_dnf(random.Random(5), 40, 6, 6)
         run = COUNTER_RUNNERS["min"]
-        reference = _result_tuple(run(formula, None))
-        assert _result_tuple(run(formula, None, executor=thread_pool)) \
+        reference = _result_tuple(run(formula))
+        assert _result_tuple(run(formula, executor=thread_pool)) \
             == reference
-        assert _result_tuple(run(formula, None, executor=pool)) == reference
+        assert _result_tuple(run(formula, executor=pool)) == reference
 
     def test_counter_thread_via_registry_env(self, monkeypatch):
         """workers=4 + REPRO_EXECUTOR=thread exercises the registry

@@ -223,6 +223,21 @@ class TestRouterErrors:
                               jbody(dict(CREATE, name="a/b")))
         assert reply.status == 400
 
+    @pytest.mark.parametrize("field,body", [
+        ("eps", b'{"name":"a","eps":null}'),
+        ("shards", b'{"name":"b","shards":[1]}'),
+        ("seed", b'{"name":"f","seed":1e400}'),
+        ("window", b'{"name":"w","window":true}'),
+        ("ttl", b'{"name":"t","ttl":{"s":1}}')],
+        ids=["eps-null", "shards-list", "seed-overflow", "window-bool",
+             "ttl-object"])
+    def test_malformed_create_number_400(self, router, field, body):
+        reply = router.handle("POST", "/v1/sketches", body)
+        assert reply.status == 400
+        assert reply.json_body()["error"] == f"{field} must be a number"
+        assert router.handle("GET", "/v1/sketches").json_body() == \
+            {"sketches": []}
+
     def test_malformed_json_400(self, router):
         reply = router.handle("POST", "/v1/sketches", b"{nope")
         assert reply.status == 400

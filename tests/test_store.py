@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 
 from repro.hashing.kwise import KWiseHashFamily
 from repro.hashing.toeplitz import ToeplitzHashFamily
-from repro.parallel import get_executor
-from repro.parallel.streaming import ingest_stream_parallel
 from repro.store import (
     StoreFormatError,
     build_sketch,
@@ -639,26 +637,3 @@ class TestPutRetryAndEviction:
         assert not errors
         if "hot" in store._entries:
             assert store.estimate("hot") >= 0.0
-
-
-class TestStoreWire:
-    def test_parallel_ingest_store_wire_matches_pickle(self):
-        items = stream(NARROW_BITS, 4000, seed=11)
-        chunks = [items[i:i + 256] for i in range(0, len(items), 256)]
-        results = {}
-        for wire in ("pickle", "store"):
-            sketches = [make_sketch("minimum", NARROW_BITS, seed=3)
-                        for _ in range(2)]
-            with get_executor(2) as ex:
-                out = ingest_stream_parallel(ex, sketches, chunks,
-                                             wire=wire)
-            merged = out[0]
-            merged.merge(out[1])
-            results[wire] = merged.estimate()
-        assert results["store"] == results["pickle"]
-
-    def test_unknown_wire_rejected(self):
-        with get_executor(1) as ex:
-            with pytest.raises(ValueError):
-                ingest_stream_parallel(ex, [ExactF0()], [[1]],
-                                       wire="telepathy")
