@@ -404,6 +404,8 @@ _sweep_interval_arg = _bounded_arg(
     float, 0, True, "sweep interval must be > 0 seconds")
 _chunk_size_arg = _bounded_arg(
     int, 0, True, "chunk size must be a positive integer")
+_replication_arg = _bounded_arg(
+    int, 1, False, "replication must be >= 1 replicas per sketch name")
 
 
 def _input_file_arg(text: str) -> str:
@@ -558,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "comma-separated node service URLs "
                             "(consistent hashing + replication) "
                             "instead of a local store")
-    serve.add_argument("--replication", type=int, default=2,
+    serve.add_argument("--replication", type=_replication_arg, default=2,
                        help="replicas per sketch name in --cluster "
                             "mode (default 2, capped at node count)")
     serve.set_defaults(func=_cmd_serve)
@@ -574,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="URLS",
                            help="comma-separated node URLs after the "
                                 "topology change")
-    rebalance.add_argument("--replication", type=int, default=2,
+    rebalance.add_argument("--replication", type=_replication_arg,
+                           default=2,
                            help="replicas per sketch name (must match "
                                 "the cluster clients'; default 2)")
     rebalance.add_argument("--prune", action="store_true",

@@ -16,9 +16,11 @@ serving topology over several independent F0 service nodes:
   replicas is exact, so reads survive node failure with no repair
   protocol;
 * :class:`ClusterRouter` -- the same ``handle(method, path, body)``
-  contract as :class:`repro.service.router.Router`, routing onto a
-  :class:`ClusterClient` instead of a local store.  Serve it with any
-  registered front end and the cluster gains a single-URL gateway.
+  contract as :class:`repro.service.router.Router`, and a single-URL
+  gateway under any registered front end.  It reads only the sketch
+  name off a request: writes are forwarded unchanged to the name's
+  replicas, reads run a :class:`~repro.service.router.Router` over the
+  merged replicas, so requests are validated by ``Router`` alone.
 
 Writes are applied to every replica synchronously and in the same
 order per client, so replicas of a name hold bit-identical sketches
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import urllib.parse
 from typing import (
     Callable,
@@ -46,13 +47,9 @@ from typing import (
 
 from repro.common.errors import ReproError
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.router import (
-    SAFE_NAME_RE,
-    Response,
-    RouteError,
-    split_frames,
-)
-from repro.store.serialize import StoreFormatError, dumps, loads_sketch
+from repro.service.router import Response, RouteError, Router
+from repro.store.serialize import StoreFormatError, dumps
+from repro.store.store import SketchStore
 from repro.streaming.base import F0Sketch
 
 #: Virtual nodes per physical node -- enough that a 2..8-node ring
@@ -123,7 +120,12 @@ class HashRing:
             key: the sketch name being placed.
             count: how many distinct replicas to collect; capped at the
                 node count.
+
+        Raises:
+            ReproError: ``count`` < 1.
         """
+        if count < 1:
+            raise ReproError("replica count must be >= 1")
         count = min(count, len(self.nodes))
         start = bisect.bisect_right(self._points, _ring_hash(key))
         chosen: List[str] = []
@@ -196,31 +198,41 @@ class ClusterClient:
         return self.ring.nodes_for(name, self.replication)
 
     def _on_replicas(self, name: str, op: Callable[[ServiceClient], object],
-                     ) -> List[Tuple[str, object]]:
-        """Apply one mutation to every replica of ``name``.
+                     missing_ok: bool = False) -> List[Tuple[str, object]]:
+        """Apply one operation to every replica of ``name``.
 
         Unreachable replicas (connection refused / timeout; status 0)
-        are skipped; logical errors re-raise immediately.  Returns the
-        ``(url, result)`` pairs that succeeded.
+        are skipped.  With ``missing_ok`` so are replicas answering 404
+        -- one that was down during create and came back empty, while
+        the others still hold the full union.  Other errors re-raise
+        immediately.  Returns the ``(url, result)`` pairs that
+        succeeded.
 
         Raises:
             ClusterError: every replica was unreachable.
-            ServiceError: a reachable replica rejected the operation.
+            ServiceError: a reachable replica rejected the operation
+                (with ``missing_ok``, 404 once every live replica did).
         """
         done: List[Tuple[str, object]] = []
-        last: Optional[ServiceError] = None
+        down: Optional[ServiceError] = None
+        missing: Optional[ServiceError] = None
         for url in self.replicas_for(name):
             try:
                 done.append((url, op(self._client(url))))
             except ServiceError as exc:
-                if exc.status != 0:
+                if exc.status == 0:
+                    down = exc
+                elif exc.status == 404 and missing_ok:
+                    missing = exc
+                else:
                     raise
-                last = exc
-        if not done:
-            raise ClusterError(
-                f"no live replica for {name!r} among "
-                f"{self.replicas_for(name)}") from last
-        return done
+        if done:
+            return done
+        if missing is not None:
+            raise missing
+        raise ClusterError(
+            f"no live replica for {name!r} among "
+            f"{self.replicas_for(name)}") from down
 
     # -- mutations (fan out to all replicas) -------------------------------
 
@@ -260,17 +272,12 @@ class ClusterClient:
         return int(done[0][1])
 
     def delete(self, name: str) -> None:
-        """Drop ``name`` from every replica (a 404 replica is fine)."""
+        """Drop ``name`` from every replica (a 404 replica is fine).
 
-        def _delete(client: ServiceClient) -> bool:
-            try:
-                client.delete(name)
-            except ServiceError as exc:
-                if exc.status != 404:
-                    raise
-            return True
-
-        self._on_replicas(name, _delete)
+        Raises:
+            ServiceError: 404 if every live replica lacks the name.
+        """
+        self._on_replicas(name, lambda c: c.delete(name), missing_ok=True)
 
     # -- reads (merge-on-read over live replicas) --------------------------
 
@@ -281,33 +288,12 @@ class ClusterClient:
             ServiceError: 404 if every live replica lacks the name.
             ClusterError: no replica reachable at all.
         """
-        merged: Optional[F0Sketch] = None
-        missing: Optional[ServiceError] = None
-        down: Optional[ServiceError] = None
-        for url in self.replicas_for(name):
-            try:
-                part = self._client(url).fetch(name)
-            except ServiceError as exc:
-                if exc.status == 0:
-                    down = exc
-                    continue
-                if exc.status == 404:
-                    # A replica that was down during create and came
-                    # back empty: the others still hold the full union.
-                    missing = exc
-                    continue
-                raise
-            if merged is None:
-                merged = part
-            else:
-                merged.merge(part)
-        if merged is not None:
-            return merged
-        if missing is not None:
-            raise missing
-        raise ClusterError(
-            f"no live replica for {name!r} among "
-            f"{self.replicas_for(name)}") from down
+        done = self._on_replicas(name, lambda c: c.fetch(name),
+                                 missing_ok=True)
+        merged = done[0][1]
+        for _, part in done[1:]:
+            merged.merge(part)
+        return merged
 
     def estimate(self, name: str) -> float:
         """The F0 estimate over the merged live replicas of ``name``."""
@@ -401,7 +387,12 @@ def plan_rebalance(names: Iterable[str], old_nodes: Sequence[str],
         replication: replicas per name (capped at each ring's size).
         vnodes: virtual nodes per physical node (must match the
             clients' setting or the diff is meaningless).
+
+    Raises:
+        ReproError: ``replication`` < 1, or an invalid ring.
     """
+    if replication < 1:
+        raise ReproError("replication must be >= 1")
     old_ring = HashRing(old_nodes, vnodes=vnodes)
     new_ring = HashRing(new_nodes, vnodes=vnodes)
     moves: List[RebalanceMove] = []
@@ -450,30 +441,14 @@ def rebalance(old_nodes: Sequence[str], new_nodes: Sequence[str],
         and the per-name ``moves``.
 
     Raises:
-        ClusterError: a name's every source replica is unreachable.
+        ReproError: ``replication`` < 1, or an invalid ring.
+        ClusterError: no old node answers the name listing, or a
+            name's every source replica is unreachable.
         ServiceError: a reachable node rejected a transfer.
     """
-    factory = client_factory or ServiceClient
-    clients: Dict[str, ServiceClient] = {}
-
-    def _client(url: str) -> ServiceClient:
-        if url not in clients:
-            clients[url] = factory(url, timeout=timeout)
-        return clients[url]
-
-    names: set = set()
-    reachable = 0
-    for url in old_nodes:
-        try:
-            names.update(_client(url).sketches())
-        except ServiceError as exc:
-            if exc.status != 0:
-                raise
-            continue
-        reachable += 1
-    if not reachable:
-        raise ClusterError("no old-ring node reachable to list sketches")
-
+    cluster = ClusterClient(old_nodes, replication, vnodes, timeout,
+                            client_factory)
+    names = cluster.sketches()
     moves = plan_rebalance(names, old_nodes, new_nodes,
                            replication=replication, vnodes=vnodes)
     moved = pruned = 0
@@ -485,7 +460,7 @@ def rebalance(old_nodes: Sequence[str], new_nodes: Sequence[str],
         down: Optional[ServiceError] = None
         for source in move.sources:
             try:
-                frame = _client(source).fetch_frame(move.name)
+                frame = cluster._client(source).fetch_frame(move.name)
                 break
             except ServiceError as exc:
                 if exc.status != 0:
@@ -496,7 +471,7 @@ def rebalance(old_nodes: Sequence[str], new_nodes: Sequence[str],
                 f"no live source for {move.name!r} among "
                 f"{move.sources}") from down
         for target in move.targets:
-            client = _client(target)
+            client = cluster._client(target)
             try:
                 client.push_frame(move.name, frame)
             except ServiceError as exc:
@@ -507,7 +482,7 @@ def rebalance(old_nodes: Sequence[str], new_nodes: Sequence[str],
         if prune:
             for loser in move.releases:
                 try:
-                    _client(loser).delete(move.name)
+                    cluster._client(loser).delete(move.name)
                 except ServiceError as exc:
                     if exc.status not in (0, 404):
                         raise
@@ -524,22 +499,21 @@ def rebalance(old_nodes: Sequence[str], new_nodes: Sequence[str],
     }
 
 
-#: Create-payload keys a gateway forwards to the node services.
-_CREATE_KEYS = ("kind", "universe_bits", "eps", "delta",
-                "thresh_constant", "repetitions_constant", "seed",
-                "shards", "ttl")
-
-_NAME_RE = SAFE_NAME_RE
-
-
 class ClusterRouter:
     """The cluster as one routable endpoint (gateway mode).
 
     Implements the same ``handle(method, path, body) -> Response``
     contract as :class:`repro.service.router.Router`, so any registered
     front end can serve it: ``repro serve --cluster url1,url2`` starts
-    an HTTP gateway whose reads merge across replicas and whose writes
-    fan out -- clients need no ring logic at all.
+    a single-URL gateway, and clients need no ring logic at all.
+
+    The gateway parses nothing but the sketch name it routes on (the
+    path segment, or a create body's ``name``).  Writes are forwarded
+    byte for byte to every replica, whose own :class:`Router`
+    validates and applies them -- a write the first replica rejects
+    goes no further, since in-sync replicas answer alike.  Reads run a
+    plain :class:`Router` over a one-entry store holding the merge of
+    the live replicas.  Statuses and error messages are thus a node's.
 
     Snapshot/restore are deliberately not proxied: they are per-node
     operations (each node owns its snapshot file), answered with 400.
@@ -566,9 +540,10 @@ class ClusterRouter:
         except ClusterError as exc:
             return Response.error(503, str(exc))
         except ServiceError as exc:
-            status = exc.status if exc.status else 503
-            return Response.error(status, str(exc))
+            return Response.error(exc.status or 503, exc.message)
         except (StoreFormatError, ReproError, ValueError) as exc:
+            # A replica answering with an undecodable frame, or two
+            # replicas whose sketches refuse to merge.
             return Response.error(400, str(exc))
         except Exception as exc:  # Anything else is a gateway bug.
             return Response.error(500, f"{type(exc).__name__}: {exc}")
@@ -576,98 +551,52 @@ class ClusterRouter:
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch(self, method: str, path: str, body: bytes) -> Response:
-        path = path.split("?", 1)[0].rstrip("/")
-        parts = [p for p in path.split("/") if p]
+        parts = [p for p in path.partition("?")[0].split("/") if p]
         if parts == ["healthz"] and method == "GET":
             health = self.cluster.health()
             health["sketches"] = len(self.cluster.sketches()) \
                 if health["live"] else 0
             return Response.json(200, health)
-        if not parts or parts[0] != "v1":
-            raise RouteError(404, f"unknown path {path!r}")
-        rest = parts[1:]
-        if rest == ["sketches"]:
-            if method == "GET":
-                return Response.json(200,
-                                     {"sketches": self.cluster.sketches()})
-            if method == "POST":
-                return self._create(body)
-        elif rest in (["snapshot"], ["restore"]) and method == "POST":
+        if parts == ["v1", "sketches"] and method == "GET":
+            return Response.json(200, {"sketches": self.cluster.sketches()})
+        if parts in (["v1", "snapshot"], ["v1", "restore"]) \
+                and method == "POST":
             raise RouteError(
-                400, f"{rest[0]} is a per-node operation; call it on "
+                400, f"{parts[1]} is a per-node operation; call it on "
                      "each node service directly")
-        elif 2 <= len(rest) <= 3 and rest[0] == "sketches":
-            name = urllib.parse.unquote(rest[1])
-            action = rest[2] if len(rest) == 3 else None
-            response = self._sketch_op(method, name, action, body)
-            if response is not None:
-                return response
-        raise RouteError(404, f"unknown path {path!r}")
-
-    def _sketch_op(self, method: str, name: str, action: Optional[str],
-                   body: bytes) -> Optional[Response]:
-        """Handle ``/v1/sketches/<name>[/<action>]``; None = no route."""
-        cluster = self.cluster
-        if action is None:
+        if parts == ["v1", "sketches"] and method == "POST":
+            name = Router._json_body(body).get("name")
+            if not isinstance(name, str):
+                # Nothing to place on the ring: the Router's own 400.
+                return Router().handle(method, path, body)
+            return self._forward(method, path, name, body, status=201)
+        if len(parts) in (3, 4) and parts[:2] == ["v1", "sketches"]:
+            name = urllib.parse.unquote(parts[2])
             if method == "GET":
-                return Response.json(200, cluster.info(name))
-            if method == "PUT":
-                if not _NAME_RE.match(name):
-                    raise RouteError(400,
-                                     f"invalid sketch name {name!r}")
-                cluster.upload(name, loads_sketch(body))
-                return Response.json(200, {"stored": name})
-            if method == "DELETE":
-                cluster.delete(name)
-                return Response.json(200, {"deleted": name})
-            return None
-        if action == "blob" and method == "GET":
-            return Response(200, dumps(cluster.fetch(name)),
-                            "application/octet-stream")
-        if action == "estimate" and method == "GET":
-            return Response.json(200, {"name": name,
-                                       "estimate": cluster.estimate(name)})
-        if action == "ingest" and method == "POST":
-            payload = self._json_body(body)
-            items = payload.get("items")
-            if not isinstance(items, list) \
-                    or not all(isinstance(x, int) for x in items):
-                raise RouteError(400,
-                                 "ingest body needs items: [int, ...]")
-            count = cluster.ingest(name, items)
-            return Response.json(200, {"name": name, "ingested": count})
-        if action == "merge" and method == "POST":
-            cluster.push(name, loads_sketch(body))
-            return Response.json(200, {"name": name, "merged": True})
-        if action == "frames" and method == "POST":
-            incoming = [loads_sketch(f) for f in split_frames(body)]
-            count = cluster.push_frames(name, incoming)
-            return Response.json(200, {"name": name, "frames": count,
-                                       "merged": True})
-        return None
+                return self._read(path, name, info=len(parts) == 3)
+            return self._forward(method, path, name, body, status=200)
+        return Router().handle(method, path, body)
 
-    def _create(self, body: bytes) -> Response:
-        payload = self._json_body(body)
-        name = payload.get("name")
-        if not isinstance(name, str) or not _NAME_RE.match(name):
-            raise RouteError(
-                400, "sketch names must be 1-128 chars of "
-                     "[A-Za-z0-9._:-], starting alphanumeric")
-        kwargs = {k: payload[k] for k in _CREATE_KEYS if k in payload}
-        reply = self.cluster.create(name, **kwargs)
-        return Response.json(201, reply)
+    def _read(self, path: str, name: str, info: bool) -> Response:
+        """Answer a read with a :class:`Router` over the merged replicas."""
+        store = SketchStore()
+        store.put(name, self.cluster.fetch(name))
+        response = Router(store).handle("GET", path)
+        if info and response.status == 200:
+            reply = response.json_body()
+            reply["replicas"] = self.cluster.replicas_for(name)
+            reply["replication"] = self.cluster.replication
+            response = Response.json(200, reply)
+        return response
 
-    @staticmethod
-    def _json_body(body: bytes) -> dict:
-        if not body:
-            return {}
-        try:
-            payload = json.loads(body)
-        except ValueError as exc:
-            raise RouteError(400, f"malformed JSON body: {exc}")
-        if not isinstance(payload, dict):
-            raise RouteError(400, "JSON body must be an object")
-        return payload
+    def _forward(self, method: str, path: str, name: str, body: bytes,
+                 status: int) -> Response:
+        """Send a write unchanged to every replica of ``name`` and relay
+        the first answer; a DELETE skips replicas lacking the name."""
+        done = self.cluster._on_replicas(
+            name, lambda c: c.request(method, path, body),
+            missing_ok=method == "DELETE")
+        return Response(status, done[0][1])
 
 
 __all__ = [

@@ -39,6 +39,8 @@ class ServiceError(ReproError):
         super().__init__(f"HTTP {status}: {message}")
         #: The HTTP status code the service responded with.
         self.status = status
+        #: The service's own error text, without the ``HTTP n:`` prefix.
+        self.message = message
 
 
 class ServiceClient:
@@ -61,9 +63,16 @@ class ServiceClient:
 
     # -- transport ---------------------------------------------------------
 
-    def _request(self, method: str, path: str,
-                 body: Optional[bytes] = None,
-                 content_type: str = "application/json") -> bytes:
+    def request(self, method: str, path: str,
+                body: Optional[bytes] = None,
+                content_type: str = "application/json") -> bytes:
+        """Send one raw request; returns the response body.
+
+        Raises:
+            ServiceError: the service answered with an error status
+                (its ``{"error": ...}`` text as the message), or status
+                0 when the node could not be reached at all.
+        """
         req = urllib.request.Request(
             self.base_url + path, data=body, method=method,
             headers={"Content-Type": content_type} if body else {})
@@ -85,7 +94,7 @@ class ServiceClient:
               payload: Optional[dict] = None) -> dict:
         body = (json.dumps(payload).encode("utf-8")
                 if payload is not None else None)
-        return json.loads(self._request(method, path, body))
+        return json.loads(self.request(method, path, body))
 
     # -- endpoints ---------------------------------------------------------
 
@@ -172,8 +181,7 @@ class ServiceClient:
 
     def fetch(self, name: str) -> F0Sketch:
         """Download the sketch as a live object (decoded wire frame)."""
-        path = f"/v1/sketches/{self._seg(name)}/blob"
-        return loads(self._request("GET", path))
+        return loads(self.fetch_frame(name))
 
     def fetch_frame(self, name: str) -> bytes:
         """Download the sketch's raw wire frame, undecoded.
@@ -183,7 +191,7 @@ class ServiceClient:
         gateway can shuttle frames it could not even decode.
         """
         path = f"/v1/sketches/{self._seg(name)}/blob"
-        return self._request("GET", path)
+        return self.request("GET", path)
 
     def push_frame(self, name: str, frame: bytes) -> None:
         """Merge-on-put upload of an already-serialized wire frame.
@@ -192,13 +200,13 @@ class ServiceClient:
             ServiceError: 404 for an unknown name, 400 for a malformed
                 or incompatible frame.
         """
-        self._request("POST", f"/v1/sketches/{self._seg(name)}/merge",
-                      frame, content_type="application/octet-stream")
+        self.request("POST", f"/v1/sketches/{self._seg(name)}/merge",
+                     frame, content_type="application/octet-stream")
 
     def upload_frame(self, name: str, frame: bytes) -> None:
         """Create-or-replace the named entry from a raw wire frame."""
-        self._request("PUT", f"/v1/sketches/{self._seg(name)}", frame,
-                      content_type="application/octet-stream")
+        self.request("PUT", f"/v1/sketches/{self._seg(name)}", frame,
+                     content_type="application/octet-stream")
 
     def replica(self, name: str) -> F0Sketch:
         """A local replica suitable for shard ingestion.
@@ -232,9 +240,7 @@ class ServiceClient:
         seeds it drew itself (contrast :meth:`create`, which has the
         *server* build the sketch from named parameters).
         """
-        self._request("PUT", f"/v1/sketches/{self._seg(name)}",
-                      dumps(sketch),
-                      content_type="application/octet-stream")
+        self.upload_frame(name, dumps(sketch))
 
     def push(self, name: str, sketch: F0Sketch) -> None:
         """Upload a sketch for merge-on-put into the named entry.
@@ -243,9 +249,7 @@ class ServiceClient:
             ServiceError: 404 for an unknown name, 400 if the sketch's
                 seeds or shape are incompatible with the stored one.
         """
-        self._request("POST", f"/v1/sketches/{self._seg(name)}/merge",
-                      dumps(sketch),
-                      content_type="application/octet-stream")
+        self.push_frame(name, dumps(sketch))
 
     def push_frames(self, name: str, sketches: Iterable[F0Sketch]) -> int:
         """Batched merge-on-put: many shard uploads in one request.
@@ -261,7 +265,7 @@ class ServiceClient:
         """
         from repro.service.router import join_frames
         body = join_frames([dumps(sk) for sk in sketches])
-        reply = json.loads(self._request(
+        reply = json.loads(self.request(
             "POST", f"/v1/sketches/{self._seg(name)}/frames", body,
             content_type="application/octet-stream"))
         return int(reply["frames"])

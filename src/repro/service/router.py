@@ -6,8 +6,10 @@ sockets, threads or event loops -- those live in the pluggable front
 ends of :mod:`repro.service.frontends` -- which is what makes every
 endpoint unit-testable without binding a port, and what lets the same
 routing table serve the threading front end, the multiproc workers, and
-(via :class:`repro.distributed.cluster.ClusterRouter`, which implements
-the same ``handle`` contract) a multi-node gateway.
+a multi-node gateway: :class:`repro.distributed.cluster.ClusterRouter`
+forwards writes to each replica's own ``Router`` and answers reads with
+a ``Router`` over the merged replicas, so this module is the only code
+that parses and validates service requests.
 
 Wire protocol (all JSON unless noted)::
 

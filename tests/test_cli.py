@@ -252,6 +252,14 @@ class TestServiceVerbs:
             main(["rebalance", "--from", " ", "--to", "http://h:1"])
         assert "comma-separated" in str(exc.value.code)
 
+    def test_rebalance_replication_below_one_friendly_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rebalance", "--from", "http://127.0.0.1:9",
+                  "--to", "http://127.0.0.1:9,http://127.0.0.1:10",
+                  "--replication", "0"])
+        assert exc.value.code == 2  # argparse usage error, not a traceback
+        assert "replication must be >= 1" in capsys.readouterr().err
+
 
 class TestServeFlags:
     def test_unknown_frontend_friendly_error(self, capsys):
@@ -288,6 +296,14 @@ class TestServeFlags:
         with pytest.raises(SystemExit) as exc:
             main(["serve", "--cluster", " , "])
         assert "comma-separated" in str(exc.value.code)
+
+    def test_cluster_replication_below_one_friendly_error(self, capsys):
+        for value in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--cluster", "http://127.0.0.1:9",
+                      "--replication", value])
+            assert exc.value.code == 2, value
+            assert "replication must be >= 1" in capsys.readouterr().err
 
     def test_cluster_rejects_store_flags(self):
         for flag in (["--snapshot", "x.bin"], ["--restore"],

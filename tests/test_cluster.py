@@ -96,6 +96,18 @@ class TestHashRing:
         with pytest.raises(ReproError):
             HashRing(["a"], vnodes=0)
 
+    def test_replica_count_below_one_rejected(self):
+        """A count of 0 or less is an error, not "every node"."""
+        from repro.common.errors import ReproError
+        from repro.distributed.cluster import plan_rebalance
+        ring = HashRing(["a", "b", "c"])
+        for count in (0, -2):
+            with pytest.raises(ReproError):
+                ring.nodes_for("k", count)
+            with pytest.raises(ReproError):
+                plan_rebalance(["k"], ["a"], ["a", "b"],
+                               replication=count)
+
 
 class TestClusterClient:
     def test_replicated_writes_keep_replicas_identical(self, two_nodes,
@@ -136,6 +148,15 @@ class TestClusterClient:
         cluster.delete("gone")
         for node in two_nodes:
             assert ServiceClient(node.url).sketches() == []
+
+    def test_delete_unknown_name_is_404(self, cluster, two_nodes):
+        """A replica lacking the name is skipped; none holding it is a
+        404, as on a single node."""
+        ServiceClient(two_nodes[0].url).create("half", kind="exact")
+        cluster.delete("half")
+        with pytest.raises(ServiceError) as exc:
+            cluster.delete("half")
+        assert exc.value.status == 404
 
     def test_sketches_union(self, cluster, two_nodes):
         cluster.create("a", kind="exact")
@@ -255,6 +276,57 @@ class TestClusterRouter:
         assert health["status"] == "degraded"
         assert health["live"] == 0
         assert gw.handle("GET", "/v1/sketches/s/estimate").status == 503
+
+    def test_gateway_matches_router(self, cluster):
+        """The gateway answers exactly as a single node's Router would:
+        same statuses, same bodies (info only by its kind)."""
+        import json
+
+        from repro.service.router import join_frames
+        from repro.store.serialize import dumps
+
+        shards = []
+        for part in range(2):
+            shard = build_sketch("minimum", 12, SMALL, seed=5)
+            shard.process_batch(stream(12, 200, seed=part))
+            shards.append(dumps(shard))
+        minimum = dict(name="m", kind="minimum", universe_bits=12,
+                       seed=5, **CREATE_KWARGS)
+        script = [
+            ("POST", "/v1/sketches", {"name": "w", "kind": "exact",
+                                      "window": 10, "buckets": 4}),
+            ("POST", "/v1/sketches/w/ingest", {"items": [1, 2, 3]}),
+            ("GET", "/v1/sketches/w/estimate", None),
+            ("POST", "/v1/sketches/w/advance", {"now": 25}),
+            ("GET", "/v1/sketches/w/estimate?window=5", None),
+            ("GET", "/v1/sketches/w/estimate?window=abc", None),
+            ("GET", "/v1/sketches/w", None),
+            ("POST", "/v1/sketches", {"name": "e", "eps": None}),
+            ("POST", "/v1/sketches", {"name": "bad name"}),
+            ("POST", "/v1/sketches", {"kind": "exact"}),
+            ("GET", "/v1/sketches/nope/estimate", None),
+            ("POST", "/v1/sketches/nope/ingest", {"items": [1]}),
+            ("POST", "/v1/sketches", minimum),
+            ("POST", "/v1/sketches/m/frames", join_frames(shards)),
+            ("POST", "/v1/sketches/m/frames", b"\x02\x00\x00"),
+            ("GET", "/v1/sketches/m/estimate", None),
+            ("DELETE", "/v1/sketches/w", None),
+            ("DELETE", "/v1/sketches/w", None),
+            ("GET", "/v1/sketches/w/estimate", None),
+        ]
+        router, gateway = Router(), ClusterRouter(cluster)
+        for method, path, payload in script:
+            body = payload if isinstance(payload, bytes) \
+                else json.dumps(payload).encode() if payload else b""
+            want = router.handle(method, path, body)
+            got = gateway.handle(method, path, body)
+            step = f"{method} {path}"
+            assert got.status == want.status, step
+            if (method, path) == ("GET", "/v1/sketches/w"):
+                assert got.json_body()["kind"] == \
+                    want.json_body()["kind"], step
+            else:
+                assert got.json_body() == want.json_body(), step
 
     def test_gateway_served_by_frontend(self, cluster):
         """Any registered front end can serve the gateway: clients talk

@@ -85,9 +85,9 @@ class TestEndpoints:
     def test_malformed_merge_payload_is_400(self, client):
         client.create("a", universe_bits=8)
         with pytest.raises(ServiceError) as exc:
-            client._request("POST", "/v1/sketches/a/merge",
-                            b"not a frame",
-                            content_type="application/octet-stream")
+            client.request("POST", "/v1/sketches/a/merge",
+                           b"not a frame",
+                           content_type="application/octet-stream")
         assert exc.value.status == 400
 
     def test_incompatible_merge_is_400(self, client):
@@ -117,13 +117,13 @@ class TestEndpoints:
         from repro.store import dumps
         hash_blob = dumps(ToeplitzHashFamily(8, 8).sample(random.Random(0)))
         with pytest.raises(ServiceError) as exc:
-            client._request("PUT", "/v1/sketches/poison", hash_blob,
-                            content_type="application/octet-stream")
+            client.request("PUT", "/v1/sketches/poison", hash_blob,
+                           content_type="application/octet-stream")
         assert exc.value.status == 400
         client.create("a", universe_bits=8)
         with pytest.raises(ServiceError) as exc:
-            client._request("POST", "/v1/sketches/a/merge", hash_blob,
-                            content_type="application/octet-stream")
+            client.request("POST", "/v1/sketches/a/merge", hash_blob,
+                           content_type="application/octet-stream")
         assert exc.value.status == 400
         assert client.sketches() == ["a"]  # Nothing poisoned.
 
@@ -191,7 +191,7 @@ class TestEndpoints:
 
     def test_unsupported_method_is_json_501(self, client):
         with pytest.raises(ServiceError) as exc:
-            client._request("PATCH", "/v1/sketches")
+            client.request("PATCH", "/v1/sketches")
         assert exc.value.status == 501
         assert str(exc.value) == "HTTP 501: Unsupported method ('PATCH')"
 
@@ -438,9 +438,9 @@ class TestBatchedFrames:
         client = ServiceClient(server.url)
         client.create("a", universe_bits=8)
         with pytest.raises(ServiceError) as exc:
-            client._request("POST", "/v1/sketches/a/frames",
-                            b"\x02\x00\x00",  # Truncated length prefix.
-                            content_type="application/octet-stream")
+            client.request("POST", "/v1/sketches/a/frames",
+                           b"\x02\x00\x00",  # Truncated length prefix.
+                           content_type="application/octet-stream")
         assert exc.value.status == 400
 
 
