@@ -65,7 +65,7 @@ import argparse
 import os
 import random
 import sys
-from typing import List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.baselines.karp_luby import karp_luby_count
 from repro.common.errors import ReproError
@@ -86,6 +86,7 @@ from repro.streaming.base import (
     DEFAULT_CHUNK_SIZE,
     SketchParams,
     compute_f0,
+    item_error,
 )
 from repro.streaming.bucketing import BucketingF0
 from repro.streaming.estimation import EstimationF0
@@ -185,6 +186,22 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_items(f, universe_bits: Optional[int]) -> Iterator[int]:
+    """The items of an open file, one integer per non-blank line; a line
+    that is not an item of the sketch exits with one line naming it."""
+    for lineno, line in enumerate(f, 1):
+        if not line.strip():
+            continue
+        try:
+            x = int(line)
+        except ValueError:
+            x = line.strip()
+        reason = item_error(x, universe_bits)
+        if reason is not None:
+            raise SystemExit(f"{f.name}:{lineno}: {reason}")
+        yield x
+
+
 def _cmd_f0(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     params = _params(args)
@@ -211,7 +228,7 @@ def _cmd_f0(args: argparse.Namespace) -> int:
     if args.shards > 1:
         estimator = ShardedF0(estimator, args.shards)
     with open(args.items) as f:
-        items = (int(line) for line in f if line.strip())
+        items = _read_items(f, estimator.universe_bits)
         value = compute_f0(items, estimator, chunk_size=args.chunk_size,
                            workers=args.workers)
     print(f"{value:.6g}")
@@ -322,7 +339,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
         total = 0
         started = time.perf_counter()
         with open(args.items) as f:
-            items = (int(line) for line in f if line.strip())
+            items = _read_items(f, replica.universe_bits)
             chunks = chunked(items, args.chunk_size)
             with executor_for(args.workers, None) as ex:
                 if ex.is_serial:

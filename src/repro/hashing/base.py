@@ -32,23 +32,11 @@ try:
 except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
 
-#: Publication lock for the lazily built packed-row layouts and column
-#: tables.  Module level (not per instance): ``LinearHash`` is
-#: ``__slots__``-lean and pickled by the thousands into worker payloads,
-#: and the lock is held only for the compare-and-publish, so contention
-#: is nil.
+#: Publication lock for the lazily built byte tables and column tables.
+#: Module level (not per instance): ``LinearHash`` is ``__slots__``-lean
+#: and pickled by the thousands into worker payloads, and the lock is
+#: held only for the compare-and-publish, so contention is nil.
 _PACK_LOCK = threading.Lock()
-
-
-def _parity_u64(a):
-    """Per-element parity of a uint64 numpy array (bit-packed popcount)."""
-    a = a ^ (a >> _np.uint64(32))
-    a = a ^ (a >> _np.uint64(16))
-    a = a ^ (a >> _np.uint64(8))
-    a = a ^ (a >> _np.uint64(4))
-    a = a ^ (a >> _np.uint64(2))
-    a = a ^ (a >> _np.uint64(1))
-    return (a & _np.uint64(1)).astype(_np.uint64)
 
 
 def _popcount_u64(a):
@@ -68,6 +56,13 @@ def trail_zeros_u64(values, out_bits: int):
     tz = _popcount_u64(lowest - _np.uint64(1)).astype(_np.int64)
     tz[values == 0] = out_bits
     return tz
+
+
+def int_to_words(value: int, words: int):
+    """Split a hash value into ``words`` uint64 words, most significant
+    first: the row layout of :meth:`LinearHash.values_batch_words`."""
+    return _np.array([(value >> (64 * (words - 1 - w))) & 0xFFFFFFFFFFFFFFFF
+                      for w in range(words)], dtype=_np.uint64)
 
 
 def cell_level(value: int, out_bits: int) -> int:
@@ -148,7 +143,7 @@ class LinearHash:
         self.offsets = [b & 1 for b in offsets]
         self._seed_bits = (seed_bits if seed_bits is not None
                            else self.out_bits * (in_bits + 1))
-        self._pack = None  # Lazily built numpy row/word layout cache.
+        self._pack = None  # Lazily built byte table, see _table().
         self._columns = None  # Lazily built column table, see columns().
 
     @property
@@ -159,7 +154,7 @@ class LinearHash:
         return self._seed_bits
 
     def __getstate__(self):
-        # The packed layout and column table are scratch state: dropping
+        # The byte table and column table are scratch state: dropping
         # them keeps pickles (worker task payloads, sketch replicas
         # shipped to a process pool) small, and each is rebuilt lazily on
         # first use.
@@ -173,45 +168,52 @@ class LinearHash:
         self._pack = None
         self._columns = None
 
-    def _packed(self):
-        """The numpy row layout, built once and reused across chunks:
-        ``(rows_u64, value_shifts, offset_const)`` for the single-word
-        path plus ``(word_cols, word_shifts, offset_words)`` for the
-        multi-word path.  Chunked ingestion calls ``values_batch`` once
-        per chunk; without the cache every call re-packed the matrix.
+    def _table(self):
+        """The byte table, built once and reused across chunks.
+
+        A ``(in_bytes, 256, W)`` uint64 array, ``W = ceil(out_bits/64)``:
+        entry ``[k, v]`` is the XOR of the columns of the input bits
+        ``8k .. 8k+7`` set in ``v``, as ``W`` words most significant
+        first, with the offset ``b`` folded into byte 0.  ``h(x)`` is
+        linear in ``x``, so it is the XOR over ``k`` of
+        ``table[k, byte k of x]``: one gather per input byte instead of
+        one parity sweep per output bit.
 
         Thread-parallel tasks share hash objects by reference (the
         ``ThreadExecutor`` ships nothing), so a cold cache can be hit
-        concurrently: the layout is built into a local and published
+        concurrently: the table is built into a local and published
         with a single attribute assignment, making a duplicate build the
-        worst case -- never a reader observing a half-filled dict.
+        worst case -- never a reader observing a half-filled table.
         """
-        pack = self._pack
-        if pack is None:
-            words = max(1, (self.out_bits + 63) // 64)
-            rows_u64 = _np.array(self.rows, dtype=_np.uint64)
-            bitpos = _np.array([self.out_bits - 1 - r
-                                for r in range(self.out_bits)],
-                               dtype=_np.int64)
-            offset_words = _np.zeros(words, dtype=_np.uint64)
-            for r, b in enumerate(self.offsets):
-                if b:
-                    col = words - 1 - (int(bitpos[r]) >> 6)
-                    offset_words[col] |= _np.uint64(1) << _np.uint64(
-                        int(bitpos[r]) & 63)
-            pack = {
-                "rows": rows_u64,
-                "shifts": (bitpos & 63).astype(_np.uint64),
-                "cols": (words - 1 - (bitpos >> 6)).astype(_np.int64),
-                "words": words,
-                "offset_words": offset_words,
-            }
+        table = self._pack
+        if table is None:
+            m = self.out_bits
+            words = max(1, -(-m // 64))
+            in_bytes = max(1, -(-self.in_bits // 8))
+            # bits[j, r] is input bit j of row r; row r is value bit
+            # m - 1 - r, i.e. bit pos & 63 of word (W - 1 - pos // 64).
+            bits = (_np.array(self.rows, dtype=_np.uint64)[_np.newaxis, :]
+                    >> _np.arange(8 * in_bytes, dtype=_np.uint64)[:, None]
+                    ) & _np.uint64(1)
+            pos = m - 1 - _np.arange(m)
+            cols = _np.zeros((8 * in_bytes, words), dtype=_np.uint64)
+            for w in range(words):
+                sel = (words - 1 - (pos >> 6)) == w
+                cols[:, w] = _np.bitwise_or.reduce(
+                    bits[:, sel] << (pos[sel] & 63).astype(_np.uint64),
+                    axis=1)
+            cols = cols.reshape(in_bytes, 8, words)
+            table = _np.zeros((in_bytes, 256, words), dtype=_np.uint64)
+            for i in range(8):  # Entries with top bit i: add column i.
+                table[:, 1 << i:2 << i] = (table[:, :1 << i]
+                                           ^ cols[:, i, _np.newaxis, :])
+            table[0] ^= int_to_words(self.packed_offset(), words)
             with _PACK_LOCK:
                 if self._pack is None:
-                    self._pack = pack
+                    self._pack = table
                 else:
-                    pack = self._pack
-        return pack
+                    table = self._pack
+        return table
 
     def columns(self) -> Tuple[int, ...]:
         """The linear part in column form, in value order: entry ``j`` is
@@ -221,7 +223,7 @@ class LinearHash:
 
         Built once per hash with ``in_bits`` calls to
         :func:`~repro.gf2.matrix.mat_vec_mul` and published like
-        :meth:`_packed`: a cold cache hit concurrently costs at most a
+        :meth:`_table`: a cold cache hit concurrently costs at most a
         duplicate build of an equal table.
         """
         columns = self._columns
@@ -264,8 +266,22 @@ class LinearHash:
         return cell_level(self.value(x), self.out_bits)
 
     def _batchable(self) -> bool:
-        """Whether the numpy bit-packed path applies (inputs fit uint64)."""
+        """Whether the numpy table path applies (inputs fit uint64)."""
         return _np is not None and self.in_bits <= 64
+
+    def _gather(self, xs):
+        """Hash a chunk through :meth:`_table`: ``(N, W)`` uint64 words,
+        most significant first.  Input bits beyond ``8 * in_bytes`` are
+        never read; those between ``in_bits`` and there meet zero
+        columns, so both are ignored exactly as :meth:`value` ignores
+        them."""
+        table = self._table()
+        data = _np.ascontiguousarray(xs, dtype="<u8").view(_np.uint8)
+        data = data.reshape(-1, 8)
+        out = table[0][data[:, 0]]
+        for k in range(1, table.shape[0]):
+            out ^= table[k][data[:, k]]
+        return out
 
     def values_batch(self, xs) -> "object":
         """Vectorised :meth:`value` over a numpy array of inputs.
@@ -278,11 +294,7 @@ class LinearHash:
             raise ValueError("values_batch requires out_bits <= 64")
         if not self._batchable():
             return [self.value(int(x)) for x in xs]
-        xs = _np.asarray(xs, dtype=_np.uint64)
-        pack = self._packed()
-        return get_kernel().linear_values_batch(
-            xs, pack["rows"], pack["shifts"],
-            pack["offset_words"][0])  # h(x) = Ax ^ b, b folded once.
+        return self._gather(xs)[:, 0]
 
     def values_batch_words(self, xs) -> "object":
         """Vectorised :meth:`value` for arbitrary ``out_bits``: an
@@ -294,11 +306,7 @@ class LinearHash:
         """
         if not self._batchable():
             return None
-        xs = _np.asarray(xs, dtype=_np.uint64)
-        pack = self._packed()
-        return get_kernel().linear_values_batch_words(
-            xs, pack["rows"], pack["shifts"], pack["cols"],
-            pack["words"], pack["offset_words"])
+        return self._gather(xs)
 
     @staticmethod
     def words_to_int(word_row) -> int:
@@ -321,27 +329,15 @@ class LinearHash:
         hash rows equal to zero (numpy uint64 in, int64 array out)."""
         if not self._batchable():
             return [self.cell_level(int(x)) for x in xs]
-        xs = _np.asarray(xs, dtype=_np.uint64)
-        m = self.out_bits
-        if m <= 64:
-            # cell_level(v) == out_bits - bit_length(v): hash the chunk in
-            # one cached-layout sweep, then a per-element bit length.
-            return m - get_kernel().bit_length_batch(
-                self.values_batch(xs))
-        pack = self._packed()
-        rows = pack["rows"]
-        levels = _np.full(xs.shape, m, dtype=_np.int64)
-        undecided = _np.ones(xs.shape, dtype=bool)
-        for r in range(self.out_bits):
-            if not undecided.any():
-                break
-            bits = _parity_u64(xs & rows[r])
-            if self.offsets[r]:
-                bits ^= _np.uint64(1)
-            hit = undecided & (bits == _np.uint64(1))
-            levels[hit] = r
-            undecided &= ~hit
-        return levels
+        words = self._gather(xs)
+        n, w = words.shape
+        # cell_level(v) == out_bits - bit_length(v); the bit length is
+        # that of the first nonzero word plus 64 per word after it.
+        lengths = get_kernel().bit_length_batch(words.ravel()).reshape(n, w)
+        nonzero = lengths > 0
+        first = nonzero.argmax(axis=1)
+        top = lengths[_np.arange(n), first] + 64 * (w - 1 - first)
+        return self.out_bits - _np.where(nonzero.any(axis=1), top, 0)
 
     def in_cell(self, x: int, m: int) -> bool:
         """Bucketing membership test ``h_m(x) == 0^m``."""

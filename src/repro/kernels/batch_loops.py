@@ -4,7 +4,9 @@ Single-source siblings of :mod:`repro.kernels.cdcl_loops`: each function
 below is written in the numba-compatible subset of python and computes
 exactly what the vectorised numpy paths of the ``python`` kernel compute
 -- GF(2^n) Horner evaluation (Russian-peasant multiply with interleaved
-reduction), packed-row affine hashing, trail-zeros and bit-length.  The
+reduction), trail-zeros and bit-length.  Affine hashing has no loop
+here: :class:`repro.hashing.base.LinearHash` evaluates it with per-byte
+table gathers in numpy, the same code under every kernel.  The
 ``numba`` kernel njit-compiles them; the parity tests also run them
 *uncompiled* on small inputs, so the loop sources themselves are covered
 by tier-1 CI where numba is absent.
@@ -14,8 +16,7 @@ All arrays are uint64 (int64 for count outputs); constants are
 (mixed int64/uint64 expressions would promote to float64 in numba).
 Like the CDCL loop, every function stays in the no-object subset, so
 the ``numba`` kernel compiles them ``nogil=True`` and whole Horner /
-packed-row / trail-zeros sweeps run GIL-free under thread-parallel
-repetitions.
+trail-zeros sweeps run GIL-free under thread-parallel repetitions.
 """
 
 from __future__ import annotations
@@ -53,56 +54,6 @@ def gf2_eval_poly(coeffs, xs, out, top, mask, mod_low):
                     a ^= mod_low
             acc = res ^ coeffs[c]
         out[i] = acc
-    return out
-
-
-def linear_values(xs, rows, shifts, offset0, out):
-    """Affine GF(2) hash values (``out_bits <= 64``) per element.
-
-    ``rows``/``shifts`` are the packed layout of
-    :meth:`repro.hashing.base.LinearHash._packed`; ``offset0`` is the
-    single-word packed offset vector.  Writes uint64 values into ``out``
-    (row 0 at the MSB of the ``out_bits``-wide value).
-    """
-    m = len(rows)
-    for i in range(len(xs)):
-        x = xs[i]
-        val = _ZERO
-        for r in range(m):
-            v = x & rows[r]
-            v ^= v >> _np.uint64(32)
-            v ^= v >> _np.uint64(16)
-            v ^= v >> _np.uint64(8)
-            v ^= v >> _np.uint64(4)
-            v ^= v >> _np.uint64(2)
-            v ^= v >> _np.uint64(1)
-            val |= (v & _ONE) << shifts[r]
-        out[i] = val ^ offset0
-    return out
-
-
-def linear_values_words(xs, rows, shifts, cols, offset_words, out):
-    """Affine hash values for arbitrary ``out_bits``: fills the
-    ``(N, W)`` uint64 array ``out`` most-significant word first, same
-    layout as :meth:`repro.hashing.base.LinearHash.values_batch_words`.
-    """
-    m = len(rows)
-    words = len(offset_words)
-    for i in range(len(xs)):
-        x = xs[i]
-        for w in range(words):
-            out[i, w] = _ZERO
-        for r in range(m):
-            v = x & rows[r]
-            v ^= v >> _np.uint64(32)
-            v ^= v >> _np.uint64(16)
-            v ^= v >> _np.uint64(8)
-            v ^= v >> _np.uint64(4)
-            v ^= v >> _np.uint64(2)
-            v ^= v >> _np.uint64(1)
-            out[i, cols[r]] |= (v & _ONE) << shifts[r]
-        for w in range(words):
-            out[i, w] ^= offset_words[w]
     return out
 
 

@@ -19,6 +19,9 @@ The compiled functions are *the same source* the ``python`` kernel
 executes (:mod:`repro.kernels.cdcl_loops`,
 :mod:`repro.kernels.batch_loops`), which is what makes bit-identical
 behaviour a structural property rather than a testing aspiration.
+Affine (Toeplitz / XOR) hashing has no compiled loop: it is a per-byte
+table gather in numpy (:class:`repro.hashing.base.LinearHash`), the same
+code under both kernels.
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ class NumbaKernel:
         jit = numba.njit(cache=True, fastmath=False, nogil=True)
         self._propagate = jit(cdcl_loops.propagate)
         self._gf2_eval_poly = jit(batch_loops.gf2_eval_poly)
-        self._linear_values = jit(batch_loops.linear_values)
-        self._linear_values_words = jit(batch_loops.linear_values_words)
         self._trail_zeros = jit(batch_loops.trail_zeros)
         self._bit_length = jit(batch_loops.bit_length)
 
@@ -74,19 +75,6 @@ class NumbaKernel:
         mask = _np.uint64((1 << n) - 1)
         mod_low = _np.uint64(modulus & ((1 << n) - 1))
         return self._gf2_eval_poly(coeffs, xs, out, top, mask, mod_low)
-
-    def linear_values_batch(self, xs, rows, shifts, offset0):
-        """Compiled single-word affine hash sweep."""
-        out = _np.empty(xs.shape, dtype=_np.uint64)
-        return self._linear_values(xs, rows, shifts,
-                                   _np.uint64(offset0), out)
-
-    def linear_values_batch_words(self, xs, rows, shifts, cols, words,
-                                  offset_words):
-        """Compiled multi-word affine hash sweep (MSW first)."""
-        out = _np.empty((xs.shape[0], words), dtype=_np.uint64)
-        return self._linear_values_words(xs, rows, shifts, cols,
-                                         offset_words, out)
 
     def trail_zeros_batch(self, values, out_bits: int):
         """Compiled per-element ``TrailZero``."""

@@ -5,11 +5,13 @@ CDCL propagation runs the shared loop source
 over the :class:`~repro.kernels.state.SolverState` arrays -- element
 access yields plain python ints, which the interpreter handles ~1.5x
 faster than numpy scalar indexing and without int32 wraparound
-surprises.  The batched hashing ops are the vectorised numpy paths
-factored out of :class:`repro.gf2.gf2n.GF2n` and
-:class:`repro.hashing.base.LinearHash` (SWAR parity / popcount over
-uint64 lanes), bit-identical to the scalar loops in
-:mod:`repro.kernels.batch_loops` that the ``numba`` kernel compiles.
+surprises.  The batched hashing ops are vectorised numpy paths: the
+GF(2^n) Horner sweep of :class:`repro.gf2.gf2n.GF2n` and the SWAR
+trail-zeros / bit-length tricks over uint64 lanes, bit-identical to the
+scalar loops in :mod:`repro.kernels.batch_loops` that the ``numba``
+kernel compiles.  Affine (Toeplitz / XOR) hashing is not a kernel op:
+:class:`repro.hashing.base.LinearHash` hashes a chunk with per-byte
+table gathers, which are numpy indexing under either kernel.
 """
 
 from __future__ import annotations
@@ -18,17 +20,6 @@ import numpy as _np
 
 from repro.kernels import cdcl_loops
 from repro.kernels.cdcl_loops import RESIZE_WATCH, RESIZE_XWATCH
-
-
-def _parity_u64(a):
-    """Per-element parity of a uint64 array (bit-packed fold)."""
-    a = a ^ (a >> _np.uint64(32))
-    a = a ^ (a >> _np.uint64(16))
-    a = a ^ (a >> _np.uint64(8))
-    a = a ^ (a >> _np.uint64(4))
-    a = a ^ (a >> _np.uint64(2))
-    a = a ^ (a >> _np.uint64(1))
-    return (a & _np.uint64(1)).astype(_np.uint64)
 
 
 def _popcount_u64(a):
@@ -91,24 +82,6 @@ class PythonKernel:
                 a = ((a << one) & mask) ^ (mod_low & carry)
             acc = res ^ coeffs[ci]
         return acc
-
-    def linear_values_batch(self, xs, rows, shifts, offset0):
-        """Affine hash values for ``out_bits <= 64``: uint64 array, row 0
-        at the MSB of the value; ``offset0`` is the packed offset word."""
-        out = _np.zeros(xs.shape, dtype=_np.uint64)
-        for r in range(len(rows)):
-            out |= _parity_u64(xs & rows[r]) << shifts[r]
-        return out ^ offset0
-
-    def linear_values_batch_words(self, xs, rows, shifts, cols, words,
-                                  offset_words):
-        """Affine hash values for arbitrary ``out_bits``: ``(N, words)``
-        uint64 array, most significant word first."""
-        out = _np.zeros((xs.shape[0], words), dtype=_np.uint64)
-        for r in range(len(rows)):
-            out[:, cols[r]] |= _parity_u64(xs & rows[r]) << shifts[r]
-        out ^= offset_words[_np.newaxis, :]
-        return out
 
     def trail_zeros_batch(self, values, out_bits: int):
         """Per-element ``TrailZero`` of uint64 hash values (int64 out;

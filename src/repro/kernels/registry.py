@@ -3,11 +3,11 @@
 Every counter in the paper bottoms out in the same two inner loops --
 NP-oracle search (watched-literal clause propagation plus watched-XOR row
 evaluation in :class:`repro.sat.solver.CdclSolver`) and hash evaluation
-(:meth:`repro.gf2.gf2n.GF2n.eval_poly_batch` Horner sweeps,
-:class:`repro.hashing.base.LinearHash` packed-row multiplies, trail-zero /
-bit-length SWAR tricks).  This registry makes *which code runs those
-loops* a configuration flag, like the solver-backend registry in
-:mod:`repro.sat.backends`:
+(:meth:`repro.gf2.gf2n.GF2n.eval_poly_batch` Horner sweeps, trail-zero /
+bit-length SWAR tricks; :class:`repro.hashing.base.LinearHash` hashes
+through per-byte tables in plain numpy, outside the kernel).  This
+registry makes *which code runs those loops* a configuration flag, like
+the solver-backend registry in :mod:`repro.sat.backends`:
 
 * ``python`` (default) -- the pure-python/numpy paths factored out of the
   original implementations; zero dependencies beyond numpy.
@@ -29,8 +29,7 @@ the ``releases_gil`` flag the ``auto`` executor reads, and
 A kernel is an object with the loop surface documented in DESIGN.md
 (section "Compute-kernel registry"): ``propagate(state)`` over a
 :class:`repro.kernels.state.SolverState`, plus the batched hashing ops
-``gf2_eval_poly_batch`` / ``linear_values_batch`` /
-``linear_values_batch_words`` / ``trail_zeros_batch`` /
+``gf2_eval_poly_batch`` / ``trail_zeros_batch`` /
 ``bit_length_batch``.  Both registered kernels are bit-identical by
 contract (``tests/test_kernels.py`` enforces it); a kernel that is merely
 *approximately* right would silently break the golden-pinned determinism

@@ -70,7 +70,7 @@ from repro.store.store import (
     SketchNotFoundError,
     SketchStore,
 )
-from repro.streaming.base import SketchParams
+from repro.streaming.base import SketchParams, item_error
 
 #: Sketch names must be addressable as one URL path segment, so creates
 #: reject anything that could not be routed back to the entry.
@@ -323,10 +323,14 @@ class Router:
         if action == "ingest" and method == "POST":
             payload = self._json_body(body)
             items = payload.get("items")
-            if not isinstance(items, list) \
-                    or not all(isinstance(x, int) for x in items):
+            if not isinstance(items, list):
                 raise RouteError(400,
                                  "ingest body needs items: [int, ...]")
+            bits = store.get(name).universe_bits
+            for i, x in enumerate(items):
+                reason = item_error(x, bits)
+                if reason is not None:
+                    raise RouteError(400, f"items[{i}]: {reason}")
             count = store.ingest(name, items)
             return Response.json(200, {"name": name, "ingested": count})
         if action == "merge" and method == "POST":

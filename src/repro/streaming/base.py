@@ -67,6 +67,25 @@ class VersionedCache:
         self._value = None
 
 
+def item_error(x, universe_bits: Optional[int]) -> Optional[str]:
+    """Why ``x`` cannot be ingested, or ``None`` when it can.
+
+    Stream items are non-negative ints; a bool is not an item.  A hashed
+    sketch over an ``n``-bit universe (``universe_bits``, ``None`` for
+    unhashed sketches) also needs ``x < 2**n``: its hashes read only the
+    low ``n`` bits, so a wider item would alias a narrower one.  The
+    service's ingest route and the CLI's item reader both check through
+    here, before any item reaches a sketch.
+    """
+    if not isinstance(x, int) or isinstance(x, bool):
+        return f"{x!r} is not an integer"
+    if x < 0:
+        return f"{x} is negative"
+    if universe_bits is not None and x >> universe_bits:
+        return f"{x} does not fit in {universe_bits} bits"
+    return None
+
+
 @dataclass(frozen=True)
 class SketchParams:
     """(eps, delta) plus the paper's constants.

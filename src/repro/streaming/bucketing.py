@@ -92,7 +92,7 @@ class BucketingRow:
 
     def process_batch(self, xs) -> None:
         """Process a chunk of stream elements with one vectorised hash
-        evaluation (numpy bit-packed ``cell_levels_batch``)."""
+        evaluation (byte-table ``cell_levels_batch``)."""
         levels = self.h.cell_levels_batch(xs)
         bucket = self.bucket
         current = self.level

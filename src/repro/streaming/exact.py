@@ -13,6 +13,9 @@ from typing import Sequence
 class ExactF0:
     """Set-based exact distinct counting (O(F0) space, no error)."""
 
+    #: Unhashed: any non-negative int is an item, however wide.
+    universe_bits = None
+
     def __init__(self) -> None:
         self._seen: set = set()
 

@@ -11,13 +11,16 @@ the exact count); the paper's condensed formula ``Thresh * 2^m / max`` is
 only meaningful for full sketches and degenerates below ``Thresh`` -- see
 EXPERIMENTS.md, deviations table.
 
-Batch ingestion: a chunk is hashed in one vectorised GF(2) sweep
-(bit-packed for ``out_bits <= 64``, multi-word otherwise -- the ``3n``-bit
-range overflows a machine word beyond 21-bit universes), deduped and
-sorted in numpy, and only the chunk's ``Thresh`` smallest distinct values
-survive as candidates -- the Thresh smallest of the union are necessarily
-among (current sketch) union (Thresh smallest of the chunk), so the
-Python-level work per chunk is O(Thresh), not O(chunk).
+Batch ingestion: a chunk is hashed through per-byte tables
+(:meth:`~repro.hashing.base.LinearHash.values_batch_words`; the ``3n``-bit
+range overflows a machine word beyond 21-bit universes, so values are
+rows of uint64 words, most significant first).  Once a row is full, the
+words are compared against its cutoff (the largest kept value) before
+anything else, so the values it would discard -- almost all of a long
+stream -- cost one comparison each and are never sorted.  The survivors
+are deduped and sorted in numpy, and only their ``Thresh`` smallest
+distinct values reach Python: the Thresh smallest of the union are
+necessarily among (current sketch) union (Thresh smallest of the chunk).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterable, List, Sequence, Set
 
 from repro.common.rng import RandomSource
 from repro.common.stats import median
-from repro.hashing.base import LinearHash
+from repro.hashing.base import LinearHash, int_to_words
 from repro.hashing.toeplitz import ToeplitzHashFamily
 from repro.streaming.base import SketchParams
 
@@ -41,7 +44,7 @@ class MinimumRow:
     """One repetition: the ``Thresh`` smallest distinct hash values.
 
     Kept as a max-heap of negated values plus a membership set, giving
-    O(log Thresh) scalar updates and a single rebuild per bulk insert.
+    O(log Thresh) updates, scalar or bulk.
     """
 
     __slots__ = ("h", "thresh", "_neg_heap", "_members")
@@ -53,36 +56,34 @@ class MinimumRow:
         self._members: Set[int] = set()
 
     def process(self, x: int) -> None:
+        """Hash one item and insert its value."""
         self.insert_value(self.h.value(x))
 
     def process_batch(self, xs: Sequence[int]) -> None:
-        """One vectorised hash sweep over a chunk, then a bulk insert of
-        the chunk's ``Thresh`` smallest distinct values."""
+        """Hash a chunk, drop the values at or above the cutoff, then bulk
+        insert the ``Thresh`` smallest distinct survivors."""
         if len(xs) == 0:
             return
         h = self.h
-        if _np is None or h.in_bits > 64:
+        words = h.values_batch_words(xs)
+        if words is None:  # No numpy, or inputs wider than 64 bits.
             for x in xs:
                 self.process(int(x))
             return
-        cutoff = -self._neg_heap[0] if self.is_full else None
-        if h.out_bits <= 64:
-            values = _np.unique(_np.asarray(h.values_batch(xs),
-                                            dtype=_np.uint64))
-            if cutoff is not None:
-                values = values[values < _np.uint64(cutoff)]
-            candidates = [int(v) for v in values[:self.thresh]]
-        else:
-            words = h.values_batch_words(xs)
-            if words is None:  # pragma: no cover - guarded above
-                for x in xs:
-                    self.process(int(x))
+        if self.is_full:
+            # Lexicographic order on MSB-first words == value order.
+            cutoff = int_to_words(-self._neg_heap[0], words.shape[1])
+            below = _np.zeros(len(words), dtype=bool)
+            tied = _np.ones(len(words), dtype=bool)
+            for w, c in enumerate(cutoff):
+                below |= tied & (words[:, w] < c)
+                tied &= words[:, w] == c
+            words = words[below]
+            if len(words) == 0:
                 return
-            # Lexicographic row order == numeric value order (MSB word
-            # first), so the first Thresh unique rows are the smallest.
-            words = _np.unique(words, axis=0)[:self.thresh]
-            candidates = [h.words_to_int(row) for row in words]
-        self.insert_values(candidates)
+        words = _np.unique(words, axis=0)[:self.thresh]
+        self.insert_values([h.words_to_int(row)
+                            for row in words.tolist()])
 
     def insert_value(self, value: int) -> None:
         """Insert one already-hashed value."""
@@ -102,27 +103,20 @@ class MinimumRow:
         """Bulk insert of already-hashed values (the DNF-stream merge and
         the distributed coordinator feed through here).
 
-        Dedupes the batch against the membership set, drops values that
-        cannot enter a full sketch, and partial-selects the ``Thresh``
-        smallest of the union in one heap rebuild instead of O(batch)
-        heap-churning ``insert_value`` calls.
+        Inserts the batch's fresh values in ascending order and stops at
+        the first one that cannot enter the full sketch: every later
+        value is larger still, and the maximum only shrinks.  Keeps the
+        same set as one :meth:`insert_value` call per value.
         """
-        cutoff = -self._neg_heap[0] if self.is_full else None
-        fresh = {int(v) for v in values}
-        fresh -= self._members
-        if cutoff is not None:
-            fresh = {v for v in fresh if v < cutoff}
-        if not fresh:
-            return
-        if len(self._members) + len(fresh) <= self.thresh:
-            for v in fresh:
-                heapq.heappush(self._neg_heap, -v)
-            self._members |= fresh
-            return
-        keep = heapq.nsmallest(self.thresh, self._members | fresh)
-        self._members = set(keep)
-        self._neg_heap = [-v for v in keep]
-        heapq.heapify(self._neg_heap)
+        heap, members = self._neg_heap, self._members
+        for v in sorted({int(v) for v in values} - members):
+            if len(heap) < self.thresh:
+                heapq.heappush(heap, -v)
+            elif v < -heap[0]:
+                members.discard(-heapq.heapreplace(heap, -v))
+            else:
+                break
+            members.add(v)
 
     def merge(self, other: "MinimumRow") -> None:
         """Union the value sets, keep the ``Thresh`` smallest."""
@@ -137,6 +131,7 @@ class MinimumRow:
 
     @property
     def is_full(self) -> bool:
+        """Whether the row holds ``Thresh`` values (and so has a cutoff)."""
         return len(self._neg_heap) >= self.thresh
 
     def estimate(self) -> float:
@@ -169,6 +164,7 @@ class MinimumF0:
         ]
 
     def process(self, x: int) -> None:
+        """Feed one item to every repetition."""
         for row in self.rows:
             row.process(x)
 
@@ -190,6 +186,7 @@ class MinimumF0:
             mine.merge(theirs)
 
     def estimate(self) -> float:
+        """Median of the repetitions' estimates."""
         return median([row.estimate() for row in self.rows])
 
     def space_bits(self) -> int:

@@ -83,6 +83,11 @@ class ShardedF0:
         return self._version
 
     @property
+    def universe_bits(self) -> Optional[int]:
+        """The shards' item width (``None`` when unhashed)."""
+        return self.shards[0].universe_bits
+
+    @property
     def num_shards(self) -> int:
         return len(self.shards)
 

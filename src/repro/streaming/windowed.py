@@ -107,6 +107,11 @@ class WindowedF0:
     # -- geometry ----------------------------------------------------------
 
     @property
+    def universe_bits(self) -> Optional[int]:
+        """The wrapped sketch's item width (``None`` when unhashed)."""
+        return self._proto.universe_bits
+
+    @property
     def num_buckets(self) -> int:
         """Ring size ``K``."""
         return len(self.buckets)

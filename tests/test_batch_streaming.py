@@ -40,6 +40,10 @@ UNIVERSE_BITS = 11
 
 SKETCHES = ["minimum", "estimation", "bucketing", "fm", "exact"]
 
+#: Input widths around the byte-table boundaries (one partial byte,
+#: whole bytes, one bit over, the full uint64 lane).
+TABLE_IN_BITS = [1, 7, 8, 9, 16, 24, 40, 64]
+
 
 def make_sketch(kind: str, seed: int,
                 universe_bits: int = UNIVERSE_BITS):
@@ -121,6 +125,34 @@ class TestBatchEqualsScalar:
         batch.process_batch(stream)
         assert all(a.values() == b.values()
                    for a, b in zip(batch.rows, reference.rows))
+
+    @pytest.mark.parametrize("chunk_size", [1, 64, 4096])
+    @pytest.mark.parametrize("universe_bits", TABLE_IN_BITS)
+    def test_minimum_batch_bytes_equal_scalar(self, universe_bits,
+                                              chunk_size):
+        rng = random.Random(universe_bits)
+        stream = [0, (1 << universe_bits) - 1] + [
+            rng.getrandbits(universe_bits) for _ in range(300)]
+        reference = make_sketch("minimum", 4, universe_bits=universe_bits)
+        for x in stream:
+            reference.process(x)
+        batch = make_sketch("minimum", 4, universe_bits=universe_bits)
+        for chunk in chunked(stream, chunk_size):
+            batch.process_batch(chunk)
+        assert batch.to_bytes() == reference.to_bytes()
+
+    def test_full_row_ignores_chunk_above_cutoff(self):
+        import numpy as np
+        h = ToeplitzHashFamily(16, 48).sample(random.Random(12))
+        row = MinimumRow(h, 8)
+        row.process_batch(np.arange(1 << 16, dtype=np.uint64))
+        assert row.is_full
+        cutoff = row.values()[-1]
+        above = [x for x in range(5000) if h.value(x) > cutoff][:300]
+        heap = list(row._neg_heap)
+        row.process_batch(np.array(above, dtype=np.uint64))
+        assert row._neg_heap == heap
+        assert row.values()[-1] == cutoff
 
     def test_protocol_conformance(self):
         for kind in SKETCHES:
@@ -355,6 +387,28 @@ class TestWideToeplitzBatchHashing:
         words = h.values_batch_words(xs)
         assert [h.words_to_int(row) for row in words] \
             == [h.value(x) for x in xs]
+
+    @pytest.mark.parametrize("out_bits", [1, 24, 64, 65, 72, 130])
+    @pytest.mark.parametrize("in_bits", TABLE_IN_BITS)
+    def test_byte_table_matches_scalar(self, in_bits, out_bits):
+        import numpy as np
+        rng = random.Random(in_bits * 1000 + out_bits)
+        h = ToeplitzHashFamily(in_bits, out_bits).sample(rng)
+        # The extremes, then items with bits above in_bits: the scalar
+        # value() ignores those, so the table path must too.
+        xs = [0, (1 << in_bits) - 1] + \
+            [rng.getrandbits(in_bits) for _ in range(40)] + \
+            [rng.getrandbits(64) for _ in range(20)]
+        expected = [h.value(x) for x in xs]
+        words = h.values_batch_words(np.array(xs, dtype=np.uint64))
+        assert words.shape == (len(xs), -(-out_bits // 64))
+        assert [h.words_to_int(row) for row in words] == expected
+        assert [int(v) for v in h.cell_levels_batch(xs)] \
+            == [h.cell_level(x) for x in xs]
+        if out_bits <= 64:
+            assert [int(v) for v in h.values_batch(xs)] == expected
+            assert [int(t) for t in h.trail_zeros_batch(xs)] \
+                == [h.trail_zeros(x) for x in xs]
 
     def test_word_order_preserves_value_order(self):
         import numpy as np

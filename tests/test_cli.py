@@ -149,6 +149,31 @@ class TestInputValidation:
         assert exc.value.code == 2
         assert "no such file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sketch", ["minimum", "bucketing", "fm",
+                                        "estimation", "exact"])
+    @pytest.mark.parametrize("line", ["-1", "true", "abc", "1073741824"])
+    def test_bad_item_line_friendly_error(self, tmp_path, sketch, line):
+        path = tmp_path / "items.txt"
+        path.write_text(f"0\n\n{line}\n")
+        if sketch == "exact" and line == "1073741824":
+            assert main(["f0", str(path), "--universe-bits", "24",
+                         "--sketch", sketch]) == 0  # Unhashed: no width.
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(["f0", str(path), "--universe-bits", "24",
+                  "--sketch", sketch])
+        message = str(exc.value.code)
+        assert message.startswith(f"{path}:3: ")
+        assert "\n" not in message
+
+    def test_item_wider_than_universe_not_aliased(self, tmp_path):
+        path = tmp_path / "items.txt"
+        path.write_text("0\n1073741824\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["f0", str(path), "--universe-bits", "24"])
+        assert str(exc.value.code) == \
+            f"{path}:2: 1073741824 does not fit in 24 bits"
+
     def test_missing_formula_file_friendly_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "no-such-formula.cnf"])

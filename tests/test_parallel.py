@@ -30,6 +30,7 @@ import pickle
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from repro.common.errors import InvalidParameterError
@@ -502,9 +503,9 @@ class TestExecutorRegistry:
 
 
 class TestPackedCacheConcurrency:
-    """The ``LinearHash._packed`` and ``columns`` cold-cache race fix:
-    concurrent first uses must all see a fully built layout or table and
-    identical hash values."""
+    """The ``LinearHash`` byte-table and ``columns`` cold-cache race fix:
+    concurrent first uses must all see a fully built table and identical
+    hash values."""
 
     HAMMER_THREADS = 8
 
@@ -539,9 +540,11 @@ class TestPackedCacheConcurrency:
             reference = [h.value(x) for x in xs]
             for result in results:
                 assert result == reference
-            # Exactly one pack object won the publish: a complete dict.
-            assert set(h._pack) == {"rows", "shifts", "cols", "words",
-                                    "offset_words"}
+            # Exactly one table won the publish: one complete
+            # (in_bytes, 256, W) uint64 array.
+            assert isinstance(h._pack, np.ndarray)
+            assert h._pack.dtype == np.uint64
+            assert h._pack.shape == (2, 256, 1)
 
     def test_concurrent_cold_column_builds_are_equal(self):
         for trial in range(10):
@@ -567,7 +570,7 @@ class TestPackedCacheConcurrency:
 
     def test_publish_is_single_assignment(self):
         """Readers may race the builder but must only ever observe None
-        (build locally) or the finished dict -- verified by hammering a
+        (build locally) or the finished table -- verified by hammering a
         hash whose pack is concurrently cleared, so cold hits interleave
         with warm ones."""
         xs = list(range(128))

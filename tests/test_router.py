@@ -250,6 +250,45 @@ class TestRouterErrors:
                               jbody({"items": ["x"]}))
         assert reply.status == 400
 
+    @pytest.mark.parametrize("window", [None, 60.0])
+    @pytest.mark.parametrize("kind", ["minimum", "bucketing", "fm",
+                                      "estimation"])
+    @pytest.mark.parametrize("bad", [-1, 2 ** 64, 2 ** 14, True],
+                             ids=["negative", "past-u64", "past-universe",
+                                  "bool"])
+    def test_item_outside_universe_400(self, router, kind, window, bad):
+        make_created(router, "a", kind=kind,
+                     **({} if window is None else {"window": window}))
+        reply = router.handle("POST", "/v1/sketches/a/ingest",
+                              jbody({"items": [0, 7, bad, 3]}))
+        assert reply.status == 400
+        assert reply.json_body()["error"].startswith("items[2]: ")
+        # Nothing of the refused batch reached the sketch.
+        assert router.handle("GET", "/v1/sketches/a/estimate") \
+            .json_body()["estimate"] == 0
+
+    def test_wide_items_not_aliased(self, router):
+        # 2**30 and 7 + 2**40 share their low 24 bits with 0 and 7; a
+        # 24-bit sketch used to count all four as two items.
+        make_created(router, "a", universe_bits=24)
+        reply = router.handle("POST", "/v1/sketches/a/ingest",
+                              jbody({"items": [0, 2 ** 30, 7, 7 + 2 ** 40]}))
+        assert reply.status == 400
+        assert reply.json_body()["error"] == \
+            "items[1]: 1073741824 does not fit in 24 bits"
+
+    def test_exact_items_unbounded_but_checked(self, router):
+        make_created(router, "e", kind="exact")
+        assert router.handle("POST", "/v1/sketches/e/ingest",
+                             jbody({"items": [2 ** 70]})).status == 200
+        for bad in (-1, True):
+            reply = router.handle("POST", "/v1/sketches/e/ingest",
+                                  jbody({"items": [1, bad]}))
+            assert reply.status == 400
+            assert reply.json_body()["error"].startswith("items[1]: ")
+        assert router.handle("GET", "/v1/sketches/e/estimate") \
+            .json_body()["estimate"] == 1
+
     def test_malformed_frame_400(self, router):
         make_created(router, "a")
         assert router.handle("POST", "/v1/sketches/a/merge",
