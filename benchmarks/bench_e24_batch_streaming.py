@@ -1,16 +1,15 @@
-"""E24 -- Batch and sharded ingestion throughput for the F0 sketches.
+"""E24 -- Batch ingestion throughput for the F0 sketches.
 
 The streaming stack now hashes whole chunks in one vectorised sweep:
 bit-packed GF(2) matrix-vector products for the affine families (multi-
 word for the Minimum sketch's 3n-bit range) and a vectorised GF(2^n)
 Horner evaluation for the s-wise polynomials.  This benchmark feeds the
-same generator-backed streams through three ingestion modes per sketch:
+same generator-backed streams through two ingestion modes per sketch:
 
-* ``scalar``  -- element-at-a-time ``process`` (the pre-PR hot path);
-* ``batch``   -- chunked ``process_batch`` via ``compute_f0``;
-* ``sharded`` -- ``ShardedF0`` round-robin over 4 replicas, then merge.
+* ``scalar``  -- element-at-a-time ``process``;
+* ``batch``   -- chunked ``process_batch``.
 
-All three produce bit-identical estimates (asserted); reported numbers
+Both produce bit-identical estimates (asserted); reported numbers
 are items/second and the batch-over-scalar speedup.  Headline: >= 5x
 batch ingestion throughput for MinimumF0 and EstimationF0.
 """
@@ -26,7 +25,6 @@ from repro.streaming.bucketing import BucketingF0
 from repro.streaming.estimation import EstimationF0
 from repro.streaming.flajolet_martin import FlajoletMartinF0
 from repro.streaming.minimum import MinimumF0
-from repro.streaming.sharded import ShardedF0
 from repro.streaming.streams import iter_shuffled_stream_with_f0
 
 PARAMS = SketchParams(eps=0.6, delta=0.25,
@@ -34,7 +32,6 @@ PARAMS = SketchParams(eps=0.6, delta=0.25,
 
 UNIVERSE_BITS = 16
 CHUNK_SIZE = 4096
-SHARDS = 4
 
 
 def _sketch(name, seed):
@@ -82,19 +79,10 @@ def run_comparison(workloads):
         assert batch.estimate() == scalar_est, (
             f"{name}: batch estimate diverged")
 
-        sharded = ShardedF0(_sketch(name, 7), SHARDS)
-        t0 = time.perf_counter()
-        for chunk in _stream_chunks(length, f0):
-            sharded.process_batch(chunk)
-        sharded_t = time.perf_counter() - t0
-        sharded_est = sharded.estimate()
-        assert sharded_est == scalar_est, (
-            f"{name}: sharded estimate diverged")
-
         speedup = scalar_t / batch_t
         speedups[name] = speedup
         rows.append((name, length, length / scalar_t, length / batch_t,
-                     length / sharded_t, speedup, sharded_est))
+                     speedup, scalar_est))
     return rows, speedups
 
 
@@ -107,18 +95,16 @@ def test_e24_batch_streaming(capsys):
     ]
     rows, speedups = run_comparison(workloads)
     table = format_table(
-        "E24  Batch + sharded ingestion throughput "
-        f"(chunk={CHUNK_SIZE}, shards={SHARDS}; identical estimates; "
+        "E24  Batch ingestion throughput "
+        f"(chunk={CHUNK_SIZE}; identical estimates; "
         "per-sketch stream lengths)",
         ["sketch", "items", "scalar items/s", "batch items/s",
-         "sharded items/s", "batch speedup", "estimate"],
-        [(n, ln, f"{s:.0f}", f"{b:.0f}", f"{sh:.0f}", f"{sp:.2f}x",
-          f"{est:.0f}")
-         for n, ln, s, b, sh, sp, est in rows],
+         "batch speedup", "estimate"],
+        [(n, ln, f"{s:.0f}", f"{b:.0f}", f"{sp:.2f}x", f"{est:.0f}")
+         for n, ln, s, b, sp, est in rows],
     )
     table += ("\n\nscalar = element-at-a-time process; batch = chunked "
-              "process_batch (vectorised hashing); sharded = ShardedF0 "
-              "round-robin over replicas + merge.\n"
+              "process_batch (vectorised hashing).\n"
               "headline: >= 5x batch ingestion for MinimumF0 and "
               "EstimationF0.")
     emit(capsys, "e24_batch_streaming", table)
@@ -143,10 +129,9 @@ def test_e24_batch_streaming_scaled(capsys):
     table = format_table(
         "E24b  Batch ingestion at scale",
         ["sketch", "items", "scalar items/s", "batch items/s",
-         "sharded items/s", "batch speedup", "estimate"],
-        [(n, ln, f"{s:.0f}", f"{b:.0f}", f"{sh:.0f}", f"{sp:.2f}x",
-          f"{est:.0f}")
-         for n, ln, s, b, sh, sp, est in rows],
+         "batch speedup", "estimate"],
+        [(n, ln, f"{s:.0f}", f"{b:.0f}", f"{sp:.2f}x", f"{est:.0f}")
+         for n, ln, s, b, sp, est in rows],
     )
     emit(capsys, "e24_batch_streaming_scaled", table)
     assert all(sp >= 5.0 for sp in speedups.values())

@@ -1,12 +1,13 @@
-"""E25 -- Process-parallel scaling: sharded F0 ingestion and counter
+"""E25 -- Process-parallel scaling: scattered F0 ingestion and counter
 repetitions.
 
 Both halves of the paper's transfer are embarrassingly parallel, and the
 execution layer in :mod:`repro.parallel` makes that literal:
 
-* **Sharded ingestion** -- a >= 10^6-item stream scattered whole-chunk
-  round-robin across shard replicas, each ingested in its own worker
-  process via the vectorised batch paths, merged at the end.
+* **Scattered ingestion** -- ``compute_f0(workers=k)`` deals a
+  >= 10^6-item stream whole-chunk round-robin across ``k`` sketch
+  replicas, each ingested in its own worker process via the vectorised
+  batch paths, and merges them at the end.
 * **Counter repetitions** -- ApproxMC's independent repetitions (one
   cell-search engine each) fanned out over the pool.
 
@@ -26,9 +27,8 @@ from benchmarks.harness import emit, emit_json, format_table
 from repro.core.approxmc import approx_mc
 from repro.formulas.generators import random_k_cnf
 from repro.parallel import available_workers
-from repro.streaming.base import SketchParams
+from repro.streaming.base import SketchParams, compute_f0
 from repro.streaming.minimum import MinimumF0
-from repro.streaming.sharded import ShardedF0
 from repro.streaming.streams import iter_shuffled_stream_with_f0
 
 WORKER_SWEEP = (1, 2, 4, 8)
@@ -38,7 +38,6 @@ STREAM_LENGTH = 1_000_000
 STREAM_F0 = 150_000
 UNIVERSE_BITS = 20
 CHUNK_SIZE = 4096
-SHARDS = 8
 
 INGEST_PARAMS = SketchParams(eps=0.6, delta=0.25,
                              thresh_constant=24.0, repetitions_constant=4.0)
@@ -54,23 +53,20 @@ def _stream_chunks():
         chunk_size=CHUNK_SIZE))
 
 
-def _sharded_sweep(chunks):
+def _ingest_sweep(chunks):
     rows = []
     times = {}
     reference = None
     for workers in WORKER_SWEEP:
-        sharded = ShardedF0(
-            MinimumF0(UNIVERSE_BITS, INGEST_PARAMS, random.Random(7)),
-            SHARDS)
+        sketch = MinimumF0(UNIVERSE_BITS, INGEST_PARAMS, random.Random(7))
         t0 = time.perf_counter()
-        sharded.process_stream(chunks_flat(chunks), chunk_size=CHUNK_SIZE,
-                               workers=workers)
+        estimate = compute_f0(chunks_flat(chunks), sketch,
+                              chunk_size=CHUNK_SIZE, workers=workers)
         elapsed = time.perf_counter() - t0
-        estimate = sharded.estimate()
         if reference is None:
             reference = estimate
         assert estimate == reference, (
-            f"sharded ingest at workers={workers} diverged: "
+            f"compute_f0 at workers={workers} diverged: "
             f"{estimate} != {reference}")
         times[workers] = elapsed
         rows.append((workers, elapsed, STREAM_LENGTH / elapsed,
@@ -108,11 +104,11 @@ def _approxmc_sweep():
 def test_e25_parallel_scaling(capsys):
     cpus = available_workers()
     chunks = _stream_chunks()
-    ingest_rows, ingest_times, ingest_est = _sharded_sweep(chunks)
+    ingest_rows, ingest_times, ingest_est = _ingest_sweep(chunks)
     count_rows, count_times, count_ref = _approxmc_sweep()
 
     table = format_table(
-        f"E25  Sharded F0 ingestion scaling (MinimumF0, {SHARDS} shards, "
+        f"E25  compute_f0 ingestion scaling (MinimumF0, "
         f"{STREAM_LENGTH} items, F0={STREAM_F0}; identical estimates)",
         ["workers", "seconds", "items/s", "speedup", "estimate"],
         [(w, f"{t:.2f}", f"{r:.0f}", f"{s:.2f}x", f"{e:.0f}")
@@ -141,9 +137,8 @@ def test_e25_parallel_scaling(capsys):
         "speedup_target_at_4_workers": SPEEDUP_TARGET,
         "gate_enforced": cpus >= 4,
         "gate": gate,
-        "sharded_ingestion": {
+        "f0_ingestion": {
             "sketch": "minimum",
-            "shards": SHARDS,
             "stream_length": STREAM_LENGTH,
             "stream_f0": STREAM_F0,
             "chunk_size": CHUNK_SIZE,
@@ -169,7 +164,7 @@ def test_e25_parallel_scaling(capsys):
         ingest_speedup = ingest_times[1] / ingest_times[4]
         count_speedup = count_times[1] / count_times[4]
         assert ingest_speedup >= SPEEDUP_TARGET, (
-            f"sharded ingestion at 4 workers: {ingest_speedup:.2f}x < "
+            f"compute_f0 ingestion at 4 workers: {ingest_speedup:.2f}x < "
             f"{SPEEDUP_TARGET}x")
         assert count_speedup >= SPEEDUP_TARGET, (
             f"ApproxMC repetitions at 4 workers: {count_speedup:.2f}x < "

@@ -6,7 +6,7 @@ serializations) and made the transport pluggable.  This benchmark
 measures what that buys under concurrent load:
 
 * **Pure-query scaling** -- serial vs 8-client vs 32-client ``estimate``
-  qps against a warm ShardedF0-backed sketch, for EVERY registered
+  qps against a warm MinimumF0 sketch, for EVERY registered
   front end (``threading`` and ``multiproc`` -- each run is stamped
   with ``frontend``/``procs``).  The enforced gate: 8-client
   qps >= 0.8x serial -- cached reads must not collapse under
@@ -37,7 +37,6 @@ from repro.streaming.base import SketchParams
 
 UNIVERSE_BITS = 18
 STREAM_LENGTH = 30_000
-SHARDS = 4
 PURE_QUERIES = 320
 MIXED_OPS_PER_CLIENT = 25
 WRITE_BATCH = 64
@@ -124,8 +123,7 @@ def _frontend_run(name, items):
                              Router()).start_background()
     try:
         client = ServiceClient(server.url)
-        client.create("hot", kind="minimum", seed=9, shards=SHARDS,
-                      **CREATE_KWARGS)
+        client.create("hot", kind="minimum", seed=9, **CREATE_KWARGS)
         client.ingest("hot", items)
         warm_estimate = client.estimate("hot")  # Build the cached view.
 
@@ -158,8 +156,7 @@ def _cluster_run(items):
     try:
         cluster = ClusterClient([n.url for n in nodes], replication=2,
                                 timeout=10.0)
-        cluster.create("hot", kind="minimum", seed=9, shards=SHARDS,
-                       **CREATE_KWARGS)
+        cluster.create("hot", kind="minimum", seed=9, **CREATE_KWARGS)
         cluster.ingest("hot", items)
         single = ServiceClient(nodes[0].url)
         reference = single.estimate("hot")
@@ -231,8 +228,8 @@ def test_e28_concurrency(capsys):
                  cluster_stats["single_node_qps"]])
 
     table = format_table(
-        f"E28  Concurrent qps (ShardedF0 x{SHARDS}, {STREAM_LENGTH} "
-        f"items, warm cached views)",
+        f"E28  Concurrent qps (MinimumF0, {STREAM_LENGTH} items, "
+        f"warm cached views)",
         ["target", "load", "qps"], rows)
     table += ("\n\ngate: 8-client query qps >= "
               f"{QPS_RATIO_TARGET}x serial, per front end: "
@@ -244,7 +241,6 @@ def test_e28_concurrency(capsys):
     emit_json("E28", {
         "stream_length": STREAM_LENGTH,
         "universe_bits": UNIVERSE_BITS,
-        "shards": SHARDS,
         "pure_queries": PURE_QUERIES,
         "qps_ratio_target": QPS_RATIO_TARGET,
         "frontends": frontend_runs,

@@ -223,7 +223,7 @@ def _run(frontend, procs, ops_per_client):
 def _serial_reference(ops_per_client):
     """The same items through one local sketch: the ground truth."""
     sketch = build_sketch(CREATE_KWARGS["kind"], UNIVERSE_BITS, PARAMS,
-                          seed=CREATE_KWARGS["seed"], shards=1)
+                          seed=CREATE_KWARGS["seed"])
     sketch.process_batch(_base_stream())
     writes_per_client = (ops_per_client + WRITE_EVERY - 1) // WRITE_EVERY
     for index in range(CLIENT_PROCS):

@@ -70,7 +70,6 @@ from repro.streaming import (
     ExactF0,
     FlajoletMartinF0,
     MinimumF0,
-    ShardedF0,
     SketchParams,
     compute_f0,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "MultiRange",
     "NpOracle",
     "ServiceClient",
-    "ShardedF0",
     "SketchParams",
     "SketchStore",
     "StructuredF0Bucketing",

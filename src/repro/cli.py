@@ -68,7 +68,7 @@ import sys
 from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.baselines.karp_luby import karp_luby_count
-from repro.common.errors import ReproError
+from repro.common.errors import InvalidParameterError, ReproError
 from repro.core.approxmc import approx_mc
 from repro.core.est_count import approx_model_count_est
 from repro.core.exact import exact_model_count
@@ -81,20 +81,13 @@ from repro.kernels import KERNELS
 from repro.parallel import EXECUTORS
 from repro.sat.backends import BACKENDS
 from repro.service.frontends import FRONTENDS
-from repro.store.factory import SKETCH_KINDS
+from repro.store.factory import SKETCH_KINDS, build_sketch
 from repro.streaming.base import (
     DEFAULT_CHUNK_SIZE,
     SketchParams,
     compute_f0,
     item_error,
 )
-from repro.streaming.bucketing import BucketingF0
-from repro.streaming.estimation import EstimationF0
-from repro.streaming.exact import ExactF0
-from repro.streaming.flajolet_martin import FlajoletMartinF0
-from repro.streaming.minimum import MinimumF0
-from repro.streaming.sharded import ShardedF0
-from repro.streaming.windowed import WindowedF0
 
 Formula = Union[CnfFormula, DnfFormula]
 
@@ -203,30 +196,12 @@ def _read_items(f, universe_bits: Optional[int]) -> Iterator[int]:
 
 
 def _cmd_f0(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    params = _params(args)
-    if args.sketch == "exact":
-        estimator = ExactF0()
-    elif args.sketch == "fm":
-        estimator = FlajoletMartinF0(args.universe_bits, rng,
-                                     repetitions=params.repetitions)
-    else:
-        sketch_cls = {
-            "bucketing": BucketingF0,
-            "minimum": MinimumF0,
-            "estimation": EstimationF0,
-        }[args.sketch]
-        estimator = sketch_cls(args.universe_bits, params, rng)
-    if args.window is not None:
-        from repro.store.factory import DEFAULT_WINDOW_BUCKETS
-        estimator = WindowedF0(estimator, args.window,
-                               buckets=(args.buckets
-                                        if args.buckets is not None
-                                        else DEFAULT_WINDOW_BUCKETS))
-    elif args.buckets is not None:
-        raise SystemExit("--buckets only applies with --window")
-    if args.shards > 1:
-        estimator = ShardedF0(estimator, args.shards)
+    try:
+        estimator = build_sketch(args.sketch, args.universe_bits,
+                                 _params(args), seed=args.seed,
+                                 window=args.window, buckets=args.buckets)
+    except InvalidParameterError as exc:
+        raise SystemExit(str(exc))
     with open(args.items) as f:
         items = _read_items(f, estimator.universe_bits)
         value = compute_f0(items, estimator, chunk_size=args.chunk_size,
@@ -311,13 +286,9 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_push(args: argparse.Namespace) -> int:
-    import copy
     import time
 
-    from repro.parallel.executor import executor_for
-    from repro.parallel.streaming import ingest_stream_parallel
     from repro.service.client import ServiceClient, ServiceError
-    from repro.streaming.base import chunked
 
     client = ServiceClient(args.server)
     if args.create:
@@ -336,35 +307,23 @@ def _cmd_push(args: argparse.Namespace) -> int:
             raise SystemExit(str(exc))
     try:
         replica = client.replica(args.name)
-        total = 0
+        pushed = [0]
+
+        def counted(items):
+            for x in items:
+                pushed[0] += 1
+                yield x
+
         started = time.perf_counter()
         with open(args.items) as f:
-            items = _read_items(f, replica.universe_bits)
-            chunks = chunked(items, args.chunk_size)
-            with executor_for(args.workers, None) as ex:
-                if ex.is_serial:
-                    for chunk in chunks:
-                        replica.process_batch(chunk)
-                        total += len(chunk)
-                    client.push(args.name, replica)
-                else:
-                    # Fan the chunks over a process pool of replicas
-                    # (same hash seeds, so set semantics keep the
-                    # result bit-identical) and upload the lot as one
-                    # batched frame request.
-                    counted = [0]
-
-                    def _counting(chunk_iter, counter=counted):
-                        for chunk in chunk_iter:
-                            counter[0] += len(chunk)
-                            yield chunk
-
-                    replicas = [copy.deepcopy(replica)
-                                for _ in range(ex.workers)]
-                    replicas = ingest_stream_parallel(
-                        ex, replicas, _counting(chunks))
-                    client.push_frames(args.name, replicas)
-                    total = counted[0]
+            # With --workers, compute_f0 scatters the chunks over
+            # replicas (same hash seeds) and merges them back into this
+            # one, so a single frame goes up either way.
+            compute_f0(counted(_read_items(f, replica.universe_bits)),
+                       replica, chunk_size=args.chunk_size,
+                       workers=args.workers)
+        client.push(args.name, replica)
+        total = pushed[0]
         elapsed = time.perf_counter() - started
         estimate = client.estimate(args.name)
     except ServiceError as exc:
@@ -514,9 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     f0.add_argument("--universe-bits", type=int, required=True)
     f0.add_argument("--sketch", default="minimum",
                     choices=list(SKETCH_KINDS))
-    f0.add_argument("--shards", type=int, default=1,
-                    help="partition the stream across this many sketch "
-                         "replicas and merge (default 1)")
     f0.add_argument("--window", type=_window_arg, default=None,
                     metavar="SPAN",
                     help="wrap the sketch in a sliding window spanning "

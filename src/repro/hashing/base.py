@@ -39,25 +39,6 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
 _PACK_LOCK = threading.Lock()
 
 
-def _popcount_u64(a):
-    """Per-element popcount of a uint64 numpy array (SWAR)."""
-    a = a - ((a >> _np.uint64(1)) & _np.uint64(0x5555555555555555))
-    a = ((a >> _np.uint64(2)) & _np.uint64(0x3333333333333333)) \
-        + (a & _np.uint64(0x3333333333333333))
-    a = (a + (a >> _np.uint64(4))) & _np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (a * _np.uint64(0x0101010101010101)) >> _np.uint64(56)
-
-
-def trail_zeros_u64(values, out_bits: int):
-    """Vectorised ``TrailZero`` over a uint64 numpy array of hash values:
-    trailing zero bits of each value, ``out_bits`` for a zero value."""
-    values = _np.asarray(values, dtype=_np.uint64)
-    lowest = values & (~values + _np.uint64(1))  # Isolate the lowest set bit.
-    tz = _popcount_u64(lowest - _np.uint64(1)).astype(_np.int64)
-    tz[values == 0] = out_bits
-    return tz
-
-
 def int_to_words(value: int, words: int):
     """Split a hash value into ``words`` uint64 words, most significant
     first: the row layout of :meth:`LinearHash.values_batch_words`."""

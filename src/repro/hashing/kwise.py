@@ -18,7 +18,7 @@ from typing import List
 from repro.common.bitvec import trailing_zeros
 from repro.common.rng import RandomSource
 from repro.gf2.gf2n import GF2n
-from repro.hashing.base import HashFamily, trail_zeros_u64  # noqa: F401
+from repro.hashing.base import HashFamily
 from repro.kernels import get_kernel
 
 try:

@@ -110,7 +110,7 @@ class ServiceClient:
                universe_bits: int = 0, eps: float = 0.8,
                delta: float = 0.2, thresh_constant: float = 96.0,
                repetitions_constant: float = 35.0, seed: int = 0,
-               shards: int = 1, ttl: Optional[float] = None,
+               ttl: Optional[float] = None,
                window: Optional[float] = None,
                buckets: Optional[int] = None) -> dict:
         """Create a named server-side sketch.
@@ -130,7 +130,7 @@ class ServiceClient:
                    "universe_bits": universe_bits, "eps": eps,
                    "delta": delta, "thresh_constant": thresh_constant,
                    "repetitions_constant": repetitions_constant,
-                   "seed": seed, "shards": shards}
+                   "seed": seed}
         if ttl is not None:
             payload["ttl"] = ttl
         if window is not None:

@@ -21,8 +21,8 @@ Wire protocol (all JSON unless noted)::
                                           universe_bits, eps?, delta?,
                                           thresh_constant?,
                                           repetitions_constant?, seed?,
-                                          shards?, ttl?, window?,
-                                          buckets?}
+                                          ttl?, window?, buckets?};
+                                          any other key -> 400
     GET    /v1/sketches/N                 metadata (kind, estimate,
                                           footprints, ttl)
     PUT    /v1/sketches/N                 body = serialized sketch frame
@@ -75,6 +75,12 @@ from repro.streaming.base import SketchParams, item_error
 #: Sketch names must be addressable as one URL path segment, so creates
 #: reject anything that could not be routed back to the entry.
 SAFE_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._:-]{0,127}$")
+
+#: The keys a create body may carry; any other key is refused, so a
+#: misspelled option never silently builds a different sketch.
+CREATE_KEYS = ("name", "kind", "universe_bits", "eps", "delta",
+               "thresh_constant", "repetitions_constant", "seed", "ttl",
+               "window", "buckets")
 
 JSON_TYPE = "application/json"
 BLOB_TYPE = "application/octet-stream"
@@ -349,6 +355,10 @@ class Router:
 
     def _create(self, body: bytes) -> Response:
         payload = self._json_body(body)
+        unknown = [key for key in payload if key not in CREATE_KEYS]
+        if unknown:
+            raise RouteError(400, f"unknown create key {unknown[0]!r}; "
+                                  f"expected {', '.join(CREATE_KEYS)}")
         name = payload.get("name")
         kind = payload.get("kind", "minimum")
         if not isinstance(name, str) or not SAFE_NAME_RE.match(name):
@@ -364,7 +374,6 @@ class Router:
                                         35.0))
         universe_bits = number(payload, "universe_bits", 0, int)
         options = dict(seed=number(payload, "seed", 0, int),
-                       shards=number(payload, "shards", 1, int),
                        window=number(payload, "window", None),
                        buckets=number(payload, "buckets", None, int))
         ttl = number(payload, "ttl", None)

@@ -19,7 +19,6 @@ from repro.streaming.estimation import EstimationF0
 from repro.streaming.exact import ExactF0
 from repro.streaming.flajolet_martin import FlajoletMartinF0
 from repro.streaming.minimum import MinimumF0
-from repro.streaming.sharded import ShardedF0
 from repro.streaming.windowed import WindowedF0
 
 #: The sketch kinds a client may name (CLI ``--sketch``, service
@@ -38,7 +37,7 @@ DEFAULT_WINDOW_BUCKETS = 8
 
 def build_sketch(kind: str, universe_bits: int,
                  params: Optional[SketchParams] = None,
-                 seed: int = 0, shards: int = 1,
+                 seed: int = 0,
                  window: Optional[float] = None,
                  buckets: Optional[int] = None) -> F0Sketch:
     """Build a fresh (empty) sketch of a named kind.
@@ -51,10 +50,7 @@ def build_sketch(kind: str, universe_bits: int,
         seed: RNG seed for hash sampling.  Two calls with equal
             arguments build sketches with identical hash seeds, so their
             outputs merge cleanly -- this is how service clients
-            construct shard replicas compatible with a server-side
-            prototype.
-        shards: wrap the sketch in a :class:`ShardedF0` with this many
-            replicas when > 1.
+            construct replicas compatible with a server-side prototype.
         window: wrap the sketch in a
             :class:`~repro.streaming.windowed.WindowedF0` spanning this
             much logical time (sliding-window distinct counts; rotated
@@ -62,10 +58,6 @@ def build_sketch(kind: str, universe_bits: int,
         buckets: ring size for ``window``
             (:data:`DEFAULT_WINDOW_BUCKETS` when omitted; requires
             ``window``).
-
-    Window wrapping happens *inside* shard wrapping: with both set,
-    each of the ``shards`` replicas is a full windowed ring sharing the
-    same seeds, so rotation and merging stay aligned across shards.
 
     Returns:
         An empty sketch implementing the full
@@ -103,6 +95,4 @@ def build_sketch(kind: str, universe_bits: int,
     elif buckets is not None:
         raise InvalidParameterError(
             "buckets only applies to windowed sketches; set window too")
-    if shards > 1:
-        sketch = ShardedF0(sketch, shards)
     return sketch

@@ -1,7 +1,7 @@
 """The versioned binary wire format for F0 sketches and hash functions.
 
 Every :class:`~repro.streaming.base.F0Sketch` implementation (Minimum,
-Estimation, Bucketing, FlajoletMartin, Exact, Sharded, Windowed) and the hash
+Estimation, Bucketing, FlajoletMartin, Exact, Windowed) and the hash
 functions they embed (:class:`~repro.hashing.base.LinearHash`,
 :class:`~repro.hashing.kwise.KWiseHash`) serialize through one pair of
 functions, :func:`dumps` / :func:`loads`.
@@ -49,7 +49,6 @@ from repro.streaming.estimation import EstimationF0, EstimationRow
 from repro.streaming.exact import ExactF0
 from repro.streaming.flajolet_martin import FlajoletMartinF0
 from repro.streaming.minimum import MinimumF0, MinimumRow
-from repro.streaming.sharded import ShardedF0
 from repro.streaming.windowed import WindowedF0
 
 #: First four bytes of every serialized object.
@@ -75,7 +74,7 @@ KIND_ESTIMATION = 0x11
 KIND_BUCKETING = 0x12
 KIND_FM = 0x13
 KIND_EXACT = 0x14
-KIND_SHARDED = 0x15
+KIND_LEGACY_SHARDED = 0x15  # Decode-only (see _dec_legacy_sharded).
 KIND_WINDOWED = 0x16
 
 
@@ -428,39 +427,64 @@ def _dec_exact(r: _Reader) -> ExactF0:
     return sk
 
 
-def _enc_sharded(out: List[bytes], sk: ShardedF0) -> None:
-    # Shards nest as full self-describing frames: a shard is itself a
-    # sketch, and reusing the top-level format keeps one decode path.
-    _w_u32(out, sk._cursor)
-    _w_u32(out, len(sk.shards))
-    for shard in sk.shards:
-        blob = dumps(shard)
-        _w_u32(out, len(blob))
-        out.append(blob)
+def _seed_key(sk) -> tuple:
+    """What two sketches must share for ``merge`` to be sound: their
+    type and every hash seed (a window answers with its prototype's).
+    Only Minimum and Bucketing rows check their hashes at merge time; a
+    decoder that skipped this would admit frames that fail, or silently
+    mix seeds, on every later estimate."""
+    if isinstance(sk, WindowedF0):
+        return _seed_key(sk._proto)
+    if isinstance(sk, (MinimumF0, BucketingF0)):
+        hashes = [row.h for row in sk.rows]
+    elif isinstance(sk, EstimationF0):
+        hashes = [h for row in sk.rows for h in row.hashes]
+    else:
+        hashes = getattr(sk, "hashes", [])
+    return (type(sk),) + tuple(
+        None if h is None
+        else (h.field.n, tuple(h.coeffs)) if isinstance(h, KWiseHash)
+        else (h.in_bits, tuple(h.rows), tuple(h.offsets))
+        for h in hashes)
 
 
-def _dec_sharded(r: _Reader) -> ShardedF0:
-    cursor = r.u32()
+def _r_nested_sketch(r: _Reader, what: str):
+    """A length-prefixed nested sketch frame."""
+    nested = loads(r._take(r.u32()))
+    if isinstance(nested, (LinearHash, KWiseHash)):
+        raise StoreFormatError(f"{what} holds a hash, not a sketch")
+    return nested
+
+
+def _dec_legacy_sharded(r: _Reader):
+    """Tag ``0x15``, the retired round-robin shard wrapper, is
+    decode-only: existing snapshots and delta logs still restore, as
+    the one plain sketch their shards merge into.  The shard count and
+    the round-robin cursor are dropped."""
+    what = f"legacy sharded frame (tag 0x{KIND_LEGACY_SHARDED:02x})"
+    r.u32()  # The round-robin cursor.
     count = r.u32()
     if count < 1:
-        raise StoreFormatError("a sharded sketch needs >= 1 shard")
-    shards = [loads(r._take(r.u32())) for _ in range(count)]
-    for shard in shards:
-        if isinstance(shard, (LinearHash, KWiseHash)):
-            raise StoreFormatError("a shard frame holds a hash, not a "
-                                   "sketch")
-    sk = object.__new__(ShardedF0)
-    sk.shards = shards
-    sk._cursor = cursor % count
-    sk._init_caches()
-    return sk
+        raise StoreFormatError(f"{what} needs >= 1 shard")
+    shards = [_r_nested_sketch(r, what) for _ in range(count)]
+    merged, rest = shards[0], shards[1:]
+    key = _seed_key(merged)
+    if any(_seed_key(shard) != key for shard in rest):
+        raise StoreFormatError(f"{what}: shard hashes differ")
+    try:
+        for shard in rest:
+            merged.merge(shard)
+    except ValueError as exc:
+        raise StoreFormatError(f"{what}: shards do not merge: "
+                               f"{exc}") from exc
+    return merged
 
 
 def _enc_windowed(out: List[bytes], sk: WindowedF0) -> None:
     # The pristine prototype and every ring bucket nest as full
-    # self-describing frames (the ShardedF0 pattern): one decode path,
-    # and a restored window keeps minting evicted buckets from the
-    # exact seeds the original drew.
+    # self-describing frames: one decode path, and a restored window
+    # keeps minting evicted buckets from the exact seeds the original
+    # drew.
     _w_f64(out, sk.window)
     _w_u32(out, len(sk.buckets))
     _w_i64(out, sk._epoch)
@@ -485,14 +509,18 @@ def _dec_windowed(r: _Reader) -> WindowedF0:
         raise StoreFormatError("windowed span must be positive")
     if count < 1:
         raise StoreFormatError("a windowed sketch needs >= 1 bucket")
-    proto = loads(r._take(r.u32()))
+    proto = _r_nested_sketch(r, "a windowed frame")
+    proto_key = _seed_key(proto)
     buckets: List[object] = []
     bucket_epochs: List[int] = []
     bucket_dirty: List[bool] = []
     for idx in range(count):
         bucket_epoch = r.i64()
         dirty = r.u64()
-        bucket = loads(r._take(r.u32()))
+        bucket = _r_nested_sketch(r, "a windowed frame")
+        if _seed_key(bucket) != proto_key:
+            raise StoreFormatError("windowed bucket hashes differ from "
+                                   "the prototype's")
         if not epoch - count < bucket_epoch <= epoch:
             raise StoreFormatError("windowed bucket epoch outside the "
                                    "live ring")
@@ -502,10 +530,6 @@ def _dec_windowed(r: _Reader) -> WindowedF0:
         buckets.append(bucket)
         bucket_epochs.append(bucket_epoch)
         bucket_dirty.append(bool(dirty))
-    for nested in [proto] + buckets:
-        if isinstance(nested, (LinearHash, KWiseHash)):
-            raise StoreFormatError("a windowed frame holds a hash, not "
-                                   "a sketch")
     sk = object.__new__(WindowedF0)
     sk.window = window
     sk._proto = proto
@@ -530,7 +554,6 @@ _ENCODERS: Dict[type, Tuple[int, _Encoder]] = {
     BucketingF0: (KIND_BUCKETING, _enc_bucketing),
     FlajoletMartinF0: (KIND_FM, _enc_fm),
     ExactF0: (KIND_EXACT, _enc_exact),
-    ShardedF0: (KIND_SHARDED, _enc_sharded),
     WindowedF0: (KIND_WINDOWED, _enc_windowed),
 }
 
@@ -542,7 +565,7 @@ _DECODERS: Dict[int, _Decoder] = {
     KIND_BUCKETING: _dec_bucketing,
     KIND_FM: _dec_fm,
     KIND_EXACT: _dec_exact,
-    KIND_SHARDED: _dec_sharded,
+    KIND_LEGACY_SHARDED: _dec_legacy_sharded,
     KIND_WINDOWED: _dec_windowed,
 }
 
@@ -557,7 +580,7 @@ def dumps(obj) -> bytes:
         obj: any registered sketch (:class:`MinimumF0`,
             :class:`EstimationF0`, :class:`BucketingF0`,
             :class:`FlajoletMartinF0`, :class:`ExactF0`,
-            :class:`ShardedF0`) or hash function (:class:`LinearHash`,
+            :class:`WindowedF0`) or hash function (:class:`LinearHash`,
             :class:`KWiseHash`).
 
     Returns:
@@ -612,7 +635,7 @@ def loads(data: bytes):
 #: The sketch classes (everything :func:`dumps` accepts except the bare
 #: hash functions); what :func:`loads_sketch` constrains decodes to.
 SKETCH_TYPES = (MinimumF0, EstimationF0, BucketingF0, FlajoletMartinF0,
-                ExactF0, ShardedF0, WindowedF0)
+                ExactF0, WindowedF0)
 
 
 def loads_sketch(data: bytes):

@@ -24,9 +24,7 @@ served from a :class:`CachedView` memoised against that counter.  A
 warm read takes **no lock at all** (it checks the published view's
 version and returns it -- the view is an immutable snapshot, so a
 racing mutation can at worst make the read linearize just before it);
-only a version mismatch takes the entry lock to rebuild.  For
-:class:`~repro.streaming.sharded.ShardedF0` entries this is the
-difference between O(1) and a full merge-per-estimate.
+only a version mismatch takes the entry lock to rebuild.
 :data:`VIEW_METRICS` counts hits/builds/serializations so tests and
 benchmarks can assert the zero-work warm path.
 
@@ -114,9 +112,7 @@ class ViewMetrics:
         self.serializations = 0
 
 
-#: The store's global read-path instrumentation (all instances share it;
-#: per-entry granularity comes from the sketches' own counters, e.g.
-#: ``ShardedF0.merge_rebuilds``).
+#: The store's global read-path instrumentation (all instances share it).
 VIEW_METRICS = ViewMetrics()
 
 

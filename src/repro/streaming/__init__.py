@@ -16,9 +16,9 @@ All sketches implement the :class:`F0Sketch` contract -- ``process(x)`` /
 exploit) -- and share :class:`SketchParams` which carries the paper's
 constants ``Thresh = 96/eps^2`` and ``t = 35 log(1/delta)``.  The
 :func:`compute_f0` driver chunks any iterable through the batch paths,
-and :class:`ShardedF0` partitions a stream across sketch replicas and
-merges -- both bit-identical to scalar ingestion by the sketches'
-set-semantics invariant.  :class:`WindowedF0` wraps any of them in a
+and with ``workers=k`` scatters the chunks over ``k`` sketch replicas
+and merges them -- both bit-identical to scalar ingestion by the
+sketches' set-semantics invariant.  :class:`WindowedF0` wraps any of them in a
 ring of mergeable sub-sketches with TTL rotation for sliding-window
 ("uniques in the last hour") estimates.
 """
@@ -36,7 +36,6 @@ from repro.streaming.estimation import EstimationF0, EstimationRow
 from repro.streaming.exact import ExactF0
 from repro.streaming.flajolet_martin import FlajoletMartinF0
 from repro.streaming.minimum import MinimumF0, MinimumRow
-from repro.streaming.sharded import ShardedF0
 from repro.streaming.streams import (
     iter_shuffled_stream_with_f0,
     iter_zipf_like_stream,
@@ -57,7 +56,6 @@ __all__ = [
     "FlajoletMartinF0",
     "MinimumF0",
     "MinimumRow",
-    "ShardedF0",
     "SketchParams",
     "WindowedF0",
     "chunked",

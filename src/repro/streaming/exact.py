@@ -2,7 +2,7 @@
 
 Implements the full :class:`~repro.streaming.base.F0Sketch` contract so
 the exact counter can stand in anywhere a sketch can (chunked drivers,
-sharded ingestion, merge-based combines) while staying bit-exact.
+parallel scatter, merge-based combines) while staying bit-exact.
 """
 
 from __future__ import annotations

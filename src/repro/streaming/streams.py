@@ -4,8 +4,7 @@ Two shapes per profile: the original list builders (kept byte-identical
 for the fixed-seed accuracy tests) and chunked generator variants
 (``iter_*``) that hold O(support) state instead of materialising
 benchmark-scale streams as Python lists before ingestion -- feed them
-straight to :func:`repro.streaming.base.compute_f0` or
-:meth:`repro.streaming.sharded.ShardedF0.process_stream`.
+straight to :func:`repro.streaming.base.compute_f0`.
 """
 
 from __future__ import annotations

@@ -33,10 +33,10 @@ The ring rides the existing protocols unchanged:
   :mod:`repro.store.serialize` (kind tag ``0x16``, prototype and
   buckets nested as self-describing frames), so windows snapshot,
   restore and travel the service wire like any other sketch.
-* **Sharding / serving.**  :class:`~repro.streaming.sharded.ShardedF0`
-  forwards :meth:`advance` / :meth:`estimate_window` to windowed
-  shards, and the store/router expose them as
-  ``POST .../advance`` and ``GET .../estimate?window=S``.
+* **Replicas / serving.**  Replicas of one ring advanced in lock step
+  merge into the ring a single serial run would hold, and the
+  store/router expose the ring as ``POST .../advance`` and
+  ``GET .../estimate?window=S``.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ class WindowedF0:
             self._bucket_epochs[e % buckets] = e
         # A boolean "absorbed items" flag per bucket, NOT a count: a
         # flag merges by OR, which is idempotent and partition-
-        # invariant, so a re-folded delta frame or a sharded run stays
-        # bit-identical to the serial run.  (An additive counter would
-        # double-count on idempotent re-merges.)
+        # invariant, so a re-folded delta frame or a merge of replicas
+        # stays bit-identical to the serial run.  (An additive counter
+        # would double-count on idempotent re-merges.)
         self._bucket_dirty: List[bool] = [False] * buckets
         self.evictions = 0  # Non-empty buckets reset by rotation.
         self._clock = clock

@@ -1,8 +1,9 @@
 """Property tests for the unified batch-ingestion + mergeable-sketch
 pipeline: for fixed seeds, scalar ``process``, chunked ``process_batch``
-(odd chunk sizes, duplicate-heavy chunks, empty chunks) and
-``ShardedF0``-merge ingestion must produce bit-identical estimates on
-every sketch -- the F0Sketch contract of ``repro.streaming.base``."""
+(odd chunk sizes, duplicate-heavy chunks, empty chunks) and a merge of
+replicas that each ingested part of the stream must produce
+bit-identical estimates on every sketch -- the F0Sketch contract of
+``repro.streaming.base``."""
 
 import random
 
@@ -24,7 +25,6 @@ from repro.streaming.estimation import EstimationF0, EstimationRow
 from repro.streaming.exact import ExactF0
 from repro.streaming.flajolet_martin import FlajoletMartinF0
 from repro.streaming.minimum import MinimumF0, MinimumRow
-from repro.streaming.sharded import ShardedF0
 from repro.streaming.streams import (
     iter_shuffled_stream_with_f0,
     iter_zipf_like_stream,
@@ -62,6 +62,18 @@ def make_sketch(kind: str, seed: int,
     raise AssertionError(kind)
 
 
+def merged_replicas(kind: str, seed: int, chunks, k: int):
+    """Deal ``chunks`` round-robin over ``k`` replicas built from one
+    seed, then merge the replicas (the Section 4 coordinator combine)."""
+    replicas = [make_sketch(kind, seed) for _ in range(k)]
+    for j, chunk in enumerate(chunks):
+        replicas[j % k].process_batch(chunk)
+    merged = replicas[0]
+    for replica in replicas[1:]:
+        merged.merge(replica)
+    return merged
+
+
 def scalar_reference(kind: str, seed: int, stream):
     sketch = make_sketch(kind, seed)
     for x in stream:
@@ -80,7 +92,7 @@ class TestBatchEqualsScalar:
     def test_batch_scalar_sharded_identical(self, kind, data):
         stream = data.draw(duplicate_heavy_streams)
         chunk_size = data.draw(st.sampled_from([1, 3, 7, 64, 4096]))
-        shards = data.draw(st.integers(1, 4))
+        replicas = data.draw(st.integers(1, 4))
         seed = data.draw(st.integers(0, 2 ** 16))
 
         reference = scalar_reference(kind, seed, stream)
@@ -92,9 +104,9 @@ class TestBatchEqualsScalar:
         batch.process_batch([])
         assert batch.estimate() == reference.estimate()
 
-        sharded = ShardedF0(make_sketch(kind, seed), shards)
-        sharded.process_stream(stream, chunk_size=chunk_size)
-        assert sharded.estimate() == reference.estimate()
+        merged = merged_replicas(kind, seed,
+                                 chunked(stream, chunk_size), replicas)
+        assert merged.estimate() == reference.estimate()
 
     @pytest.mark.parametrize("kind", SKETCHES)
     def test_compute_f0_generator_equals_list(self, kind):
@@ -193,50 +205,6 @@ class TestMinimumBulkInsert:
             a.merge(b)
 
 
-class TestShardedF0:
-    def test_rejects_zero_shards(self):
-        with pytest.raises(InvalidParameterError):
-            ShardedF0(ExactF0(), 0)
-
-    def test_scalar_round_robin_routes_everywhere(self):
-        sharded = ShardedF0(ExactF0(), 3)
-        for x in range(30):
-            sharded.process(x)
-        assert all(shard.distinct() == 10 for shard in sharded.shards)
-        assert sharded.estimate() == 30.0
-
-    def test_merged_leaves_shards_untouched(self):
-        sharded = ShardedF0(make_sketch("minimum", 1), 2)
-        sharded.process_batch(list(range(100)))
-        before = [row.values() for row in sharded.shards[0].rows]
-        merged = sharded.merged()
-        assert [row.values() for row in sharded.shards[0].rows] == before
-        assert merged.estimate() == sharded.estimate()
-
-    def test_merge_of_sharded_runs(self):
-        stream = shuffled_stream_with_f0(random.Random(8), UNIVERSE_BITS,
-                                         200, 400)
-        reference = scalar_reference("bucketing", 13, stream)
-        a = ShardedF0(make_sketch("bucketing", 13), 2)
-        b = ShardedF0(make_sketch("bucketing", 13), 2)
-        a.process_batch(stream[:150])
-        b.process_batch(stream[150:])
-        a.merge(b)
-        assert a.estimate() == reference.estimate()
-
-    def test_shard_count_mismatch_rejected(self):
-        a = ShardedF0(ExactF0(), 2)
-        b = ShardedF0(ExactF0(), 3)
-        with pytest.raises(InvalidParameterError):
-            a.merge(b)
-
-    def test_space_bits_sums_shards(self):
-        sharded = ShardedF0(make_sketch("minimum", 2), 3)
-        sharded.process_batch(list(range(50)))
-        assert sharded.space_bits() \
-            == sum(s.space_bits() for s in sharded.shards)
-
-
 class TestEstimationMemoisation:
     def test_estimate_cached_until_mutation(self):
         est = make_sketch("estimation", 21)
@@ -316,18 +284,17 @@ class TestChunkedStreams:
             list(chunked([1], 0))
 
     def test_ingest_from_generator_chunks(self):
-        # The bench-scale pipeline: generator chunks -> sharded sketch.
+        # The bench-scale pipeline: generator chunks -> merged replicas.
         rng = random.Random(33)
-        sharded = ShardedF0(make_sketch("minimum", 17), 2)
-        for chunk in iter_shuffled_stream_with_f0(rng, UNIVERSE_BITS, 250,
-                                                  1000, chunk_size=128):
-            sharded.process_batch(chunk)
+        merged = merged_replicas(
+            "minimum", 17, iter_shuffled_stream_with_f0(
+                rng, UNIVERSE_BITS, 250, 1000, chunk_size=128), 2)
         reference = make_sketch("minimum", 17)
         rng = random.Random(33)
         for chunk in iter_shuffled_stream_with_f0(rng, UNIVERSE_BITS, 250,
                                                   1000, chunk_size=128):
             reference.process_batch(chunk)
-        assert sharded.estimate() == reference.estimate()
+        assert merged.estimate() == reference.estimate()
 
 
 class TestLevelledBucketingRow:

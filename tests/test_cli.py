@@ -143,6 +143,22 @@ class TestInputValidation:
         assert exc.value.code == 2
         assert "invalid int value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--universe-bits", "-3"],
+        ["--universe-bits", "0", "--sketch", "fm"],
+        ["--universe-bits", "8", "--buckets", "4"],
+        ["--universe-bits", "8", "--eps", "-1"]],
+        ids=["negative-width", "zero-width", "buckets-no-window",
+             "negative-eps"])
+    def test_invalid_sketch_one_line_error(self, tmp_path, args):
+        path = tmp_path / "items.txt"
+        path.write_text("1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["f0", str(path)] + args)
+        message = str(exc.value.code)
+        assert message and "\n" not in message
+        assert "Traceback" not in message
+
     def test_missing_items_file_friendly_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["f0", "no-such-items.txt", "--universe-bits", "4"])
@@ -241,7 +257,7 @@ class TestServiceVerbs:
         assert main(["push", "fanned", str(path), "--server", server.url,
                      "--workers", "2"] + create) == 0
         parallel_out = capsys.readouterr()
-        # Sketch ingestion is order-independent: the sharded parallel
+        # Sketch ingestion is order-independent: the scattered-and-merged
         # push must land on the same estimate as the serial one, and
         # both report throughput on stderr without polluting stdout.
         assert parallel_out.out.strip() == serial_out.out.strip()

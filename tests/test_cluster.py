@@ -302,6 +302,7 @@ class TestClusterRouter:
             ("GET", "/v1/sketches/w/estimate?window=abc", None),
             ("GET", "/v1/sketches/w", None),
             ("POST", "/v1/sketches", {"name": "e", "eps": None}),
+            ("POST", "/v1/sketches", {"name": "u", "windw": 8}),
             ("POST", "/v1/sketches", {"name": "bad name"}),
             ("POST", "/v1/sketches", {"kind": "exact"}),
             ("GET", "/v1/sketches/nope/estimate", None),

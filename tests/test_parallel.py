@@ -16,12 +16,13 @@ Four pillars:
   ``workers=4`` produce identical estimates and identical
   per-repetition results across all sketches and counters, including
   odd/duplicate/empty chunks.
-* **Executor matrix** -- all four counter strategies plus sharded
-  ingestion are bit-identical (estimates, per-repetition sketches,
-  oracle-call totals) across serial/thread/process, on every available
-  compute kernel.  The kernel is the process-wide choice: each case sets
-  it, builds its process pool inside that scope, and checks the pool's
-  workers run it too.
+* **Executor matrix** -- all four counter strategies plus
+  ``compute_f0`` scatter-and-merge ingestion are bit-identical
+  (estimates, per-repetition sketches, oracle-call totals) across
+  serial/thread/process, on every available compute kernel.  The
+  kernel is the process-wide choice: each case sets it, builds its
+  process pool inside that scope, and checks the pool's workers run it
+  too.
 """
 
 import multiprocessing
@@ -68,13 +69,13 @@ from repro.parallel import (
 )
 from repro.parallel.registry import ENV_VAR as EXECUTOR_ENV_VAR
 from repro.sat.oracle import NpOracle
+from repro.store.serialize import dumps
 from repro.streaming.base import SketchParams, chunked, compute_f0
 from repro.streaming.bucketing import BucketingF0
 from repro.streaming.estimation import EstimationF0
 from repro.streaming.exact import ExactF0
 from repro.streaming.flajolet_martin import FlajoletMartinF0
 from repro.streaming.minimum import MinimumF0
-from repro.streaming.sharded import ShardedF0
 from repro.streaming.streams import shuffled_stream_with_f0
 
 SMALL = SketchParams(eps=0.7, delta=0.3,
@@ -195,12 +196,6 @@ class TestPickleRoundTrip:
         other.process_batch(stream[:50])
         restored.merge(other)
 
-    def test_sharded_round_trip(self):
-        sharded = ShardedF0(make_sketch("minimum", 3), 3)
-        sharded.process_batch(list(range(400)))
-        restored = pickle.loads(pickle.dumps(sharded))
-        assert restored.estimate() == sharded.estimate()
-
     def test_linear_hash_cache_excluded_from_pickle(self):
         h = ToeplitzHashFamily(16, 48).sample(random.Random(1))
         cold = len(pickle.dumps(h))
@@ -245,20 +240,17 @@ class TestPickleRoundTrip:
 
 class TestShardedChunkScatter:
     def test_whole_chunks_routed_round_robin(self):
-        """process_batch hands entire chunks to one shard in rotation --
-        no per-element re-slicing (small tails stay batched)."""
-        sharded = ShardedF0(ExactF0(), 3)
-        sharded.process_batch(list(range(0, 10)))
-        sharded.process_batch(list(range(10, 15)))
-        sharded.process_batch(list(range(15, 16)))
-        assert [s.distinct() for s in sharded.shards] == [10, 5, 1]
-        assert sharded.estimate() == 16.0
+        """Chunk j goes wholly to sketch j mod k -- no per-element
+        re-slicing (small tails stay batched)."""
+        sketches = ingest_stream_parallel(
+            SerialExecutor(), [ExactF0() for _ in range(3)],
+            [list(range(0, 10)), list(range(10, 15)), [15]])
+        assert [s.distinct() for s in sketches] == [10, 5, 1]
 
     def test_empty_chunk_does_not_advance_cursor(self):
-        sharded = ShardedF0(ExactF0(), 2)
-        sharded.process_batch([])
-        sharded.process_batch([1, 2])
-        assert sharded.shards[0].distinct() == 2
+        sketches = ingest_stream_parallel(
+            SerialExecutor(), [ExactF0(), ExactF0()], [[], [1, 2]])
+        assert [s.distinct() for s in sketches] == [2, 0]
 
     def test_ingest_stream_parallel_waves(self, pool):
         """Multiple dispatch waves (wave=1) still produce the exact
@@ -285,14 +277,16 @@ class TestParallelStreamingEquivalence:
         assert parallel == serial
 
     @pytest.mark.parametrize("kind", SKETCHES)
-    def test_sharded_process_stream_workers_identical(self, kind, pool):
+    def test_compute_f0_workers_identical_frames(self, kind, pool):
+        """Not just the estimate: the merged sketch serializes to the
+        same frame as the serial one."""
         stream = shuffled_stream_with_f0(random.Random(12), UNIVERSE_BITS,
                                          250, 900)
-        serial = ShardedF0(make_sketch(kind, 22), 4)
-        serial.process_stream(stream, chunk_size=64)
-        parallel = ShardedF0(make_sketch(kind, 22), 4)
-        parallel.process_stream(stream, chunk_size=64, executor=pool)
-        assert parallel.estimate() == serial.estimate()
+        serial = make_sketch(kind, 22)
+        compute_f0(stream, serial, chunk_size=64)
+        parallel = make_sketch(kind, 22)
+        compute_f0(stream, parallel, chunk_size=64, executor=pool)
+        assert dumps(parallel) == dumps(serial)
 
     def test_compute_f0_generator_stream_parallel(self, pool):
         stream = shuffled_stream_with_f0(random.Random(13), UNIVERSE_BITS,
@@ -594,7 +588,7 @@ class TestPackedCacheConcurrency:
 
 
 # ---------------------------------------------------------------------------
-# Executor matrix: counters and sharded ingestion bit-identical across
+# Executor matrix: counters and compute_f0 ingestion bit-identical across
 # serial/thread/process on every available kernel.
 
 AVAILABLE_KERNELS = [n for n in kernel_names() if kernel_info(n).available]
@@ -664,13 +658,10 @@ class TestExecutorMatrixParity:
                                          260, 900)
 
         def ingest(executor):
-            sharded = ShardedF0(
-                MinimumF0(UNIVERSE_BITS, SMALL, random.Random(41)), 4)
-            sharded.process_stream(stream, chunk_size=64,
-                                   executor=executor)
-            return (sharded.estimate(),
-                    [r.values() for shard in sharded.shards
-                     for r in shard.rows])
+            sketch = MinimumF0(UNIVERSE_BITS, SMALL, random.Random(41))
+            estimate = compute_f0(stream, sketch, chunk_size=64,
+                                  executor=executor)
+            return estimate, [r.values() for r in sketch.rows]
 
         reference = ingest(None)  # Serial.
         assert ingest(thread_pool) == reference

@@ -225,16 +225,29 @@ class TestRouterErrors:
 
     @pytest.mark.parametrize("field,body", [
         ("eps", b'{"name":"a","eps":null}'),
-        ("shards", b'{"name":"b","shards":[1]}'),
         ("seed", b'{"name":"f","seed":1e400}'),
         ("window", b'{"name":"w","window":true}'),
         ("ttl", b'{"name":"t","ttl":{"s":1}}')],
-        ids=["eps-null", "shards-list", "seed-overflow", "window-bool",
-             "ttl-object"])
+        ids=["eps-null", "seed-overflow", "window-bool", "ttl-object"])
     def test_malformed_create_number_400(self, router, field, body):
         reply = router.handle("POST", "/v1/sketches", body)
         assert reply.status == 400
         assert reply.json_body()["error"] == f"{field} must be a number"
+        assert router.handle("GET", "/v1/sketches").json_body() == \
+            {"sketches": []}
+
+    @pytest.mark.parametrize("key,body", [
+        ("windw", b'{"name":"a","kind":"minimum","universe_bits":24,'
+                  b'"windw":8}'),
+        ("shards", b'{"name":"b","shards":4}')],
+        ids=["misspelled-window", "shards"])
+    def test_unknown_create_key_400(self, router, key, body):
+        """A key the create handler does not read is refused by name,
+        never dropped into a sketch built without it."""
+        reply = router.handle("POST", "/v1/sketches", body)
+        assert reply.status == 400
+        assert reply.json_body()["error"].startswith(
+            f"unknown create key {key!r}")
         assert router.handle("GET", "/v1/sketches").json_body() == \
             {"sketches": []}
 

@@ -2,7 +2,7 @@
 
 Tier-1 runs the small smoke episode plus the determinism gates (same
 seed => byte-identical JSONL and identical reports).  The full episode
-sweep, the service-mode soak and the serial/sharded/service
+sweep, the service-mode soak and the serial/merged-replicas/service
 bit-identity gate are marked slow -- nightly CI runs them with
 ``--runslow`` and uploads the per-episode artifacts.
 """
@@ -133,10 +133,10 @@ class TestServiceSoak:
         """One episode, three transports, one final sketch state.
 
         Set semantics promise that any partition of the same writes
-        merges to the same state: the serial in-process run, the
-        3-shard run and the live-service run (2 pre-fork workers
-        reconciling through the delta log) must land on bit-identical
-        ring contents and estimates.
+        merges to the same state: the serial in-process run, the merge
+        of 3 replicas advanced in lock step and the live-service run
+        (2 pre-fork workers reconciling through the delta log) must
+        land on bit-identical ring contents and estimates.
         """
         from repro.service.client import ServiceClient
         from repro.service.multiproc import MultiprocFrontend
@@ -150,13 +150,15 @@ class TestServiceSoak:
             serial.advance(float(event["t"]))
             serial.process_batch([int(x) for x in event["items"]])
 
-        sharded_spec = soak.EpisodeSpec(
-            **{**spec.__dict__, "name": "soak-smoke-sharded",
-               "shards": 3})
-        sharded = sharded_spec.build()
-        for event in events:
-            sharded.advance(float(event["t"]))
-            sharded.process_batch([int(x) for x in event["items"]])
+        replicas = [spec.build() for _ in range(3)]
+        for j, event in enumerate(events):
+            for replica in replicas:
+                replica.advance(float(event["t"]))
+            replicas[j % 3].process_batch(
+                [int(x) for x in event["items"]])
+        merged = replicas[0]
+        for replica in replicas[1:]:
+            merged.merge(replica)
 
         frontend = MultiprocFrontend(("127.0.0.1", 0), Router(),
                                      procs=2, delta_interval=0.0)
@@ -179,11 +181,10 @@ class TestServiceSoak:
         finally:
             frontend.stop()
 
-        assert sharded.estimate() == serial.estimate()
+        assert merged.estimate() == serial.estimate()
         assert serviced.estimate() == serial.estimate()
         # Bit-identical ring contents: only the unmerged local
         # eviction counters may differ across transports.
-        merged = sharded.merged_view()
         merged.evictions = serial.evictions
         serviced.evictions = serial.evictions
         assert dumps(merged) == dumps(serial)

@@ -9,7 +9,9 @@ raise :class:`StoreFormatError`, never a garbage estimate.
 
 import os
 import random
+import struct
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,8 +37,8 @@ from repro.streaming import (
     BucketingF0,
     ExactF0,
     MinimumF0,
-    ShardedF0,
     SketchParams,
+    WindowedF0,
 )
 
 SMALL = SketchParams(eps=0.7, delta=0.3,
@@ -50,9 +52,20 @@ WIDE_BITS = 30
 NARROW_BITS = 12
 
 
-def make_sketch(kind, universe_bits, seed=0, shards=1):
-    return build_sketch(kind, universe_bits, SMALL, seed=seed,
-                        shards=shards)
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def make_sketch(kind, universe_bits, seed=0):
+    return build_sketch(kind, universe_bits, SMALL, seed=seed)
+
+
+def legacy_sharded_frame(shards, cursor=0):
+    """A frame of the retired ``0x15`` tag: round-robin cursor, shard
+    count, then each shard as a u32-length-prefixed nested frame."""
+    body = b"".join(struct.pack("<I", len(f)) + f
+                    for f in map(dumps, shards))
+    return (MAGIC + struct.pack("<HBII", FORMAT_VERSION, 0x15, cursor,
+                                len(shards)) + body)
 
 
 def stream(universe_bits, count, seed=0):
@@ -64,11 +77,21 @@ class TestRoundTrip:
     @pytest.mark.parametrize("kind", ALL_KINDS + ["sharded"])
     @pytest.mark.parametrize("universe_bits", [NARROW_BITS, WIDE_BITS])
     def test_filled_sketch_round_trips(self, kind, universe_bits):
+        items = stream(universe_bits, 600)
         if kind == "sharded":
-            sketch = make_sketch("minimum", universe_bits, shards=3)
+            # A frame of the retired 0x15 tag decodes to the plain
+            # sketch its shards merge into.
+            replicas = [make_sketch("minimum", universe_bits)
+                        for _ in range(3)]
+            for j, replica in enumerate(replicas):
+                replica.process_batch(items[j::3])
+            sketch = loads(legacy_sharded_frame(replicas, cursor=2))
+            serial = make_sketch("minimum", universe_bits)
+            serial.process_batch(items)
+            assert dumps(sketch) == dumps(serial)
         else:
             sketch = make_sketch(kind, universe_bits)
-        sketch.process_batch(stream(universe_bits, 600))
+            sketch.process_batch(items)
         clone = loads(dumps(sketch))
         assert type(clone) is type(sketch)
         assert clone.estimate() == sketch.estimate()
@@ -124,19 +147,6 @@ class TestRoundTrip:
         from repro.streaming import FlajoletMartinF0
         clone = FlajoletMartinF0.from_bytes(sketch.to_bytes())
         assert clone.estimate() == sketch.estimate()
-
-    def test_sharded_preserves_cursor_and_shard_count(self):
-        sharded = make_sketch("minimum", NARROW_BITS, shards=3)
-        for x in stream(NARROW_BITS, 5):
-            sharded.process(x)  # Leaves the cursor mid-rotation.
-        clone = loads(dumps(sharded))
-        assert clone.num_shards == sharded.num_shards
-        assert clone._cursor == sharded._cursor
-        tail = stream(NARROW_BITS, 50, seed=9)
-        for x in tail:
-            sharded.process(x)
-            clone.process(x)
-        assert clone.estimate() == sharded.estimate()
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -228,6 +238,70 @@ class TestFormatErrors:
                 loads(bytes(corrupted))
             except StoreFormatError:
                 pass
+
+    def test_legacy_sharded_fixtures_decode_to_plain_sketches(self):
+        """Frames written with the retired 0x15 tag still restore.  The
+        estimates are the ones the sharded sketches gave when the
+        fixtures were recorded."""
+        plain = loads((FIXTURES / "legacy_sharded_minimum.bin")
+                      .read_bytes())
+        assert type(plain) is MinimumF0
+        assert plain.estimate() == 67.9698432326778
+        serial = build_sketch(
+            "minimum", 8, SketchParams(eps=0.8, delta=0.4,
+                                       thresh_constant=8.0,
+                                       repetitions_constant=2.0), seed=3)
+        serial.process_batch([i * 7 % 256 for i in range(200)])
+        assert dumps(plain) == dumps(serial)
+
+        window = loads((FIXTURES / "legacy_sharded_windowed_exact.bin")
+                       .read_bytes())
+        assert type(window) is WindowedF0
+        assert window.estimate() == 22.0
+        assert window.estimate_window(2.0) == 12.0
+
+    @pytest.mark.parametrize("kind", ["minimum", "estimation",
+                                      "bucketing", "fm"])
+    def test_legacy_sharded_hash_mismatch_rejected(self, kind):
+        shards = [make_sketch(kind, NARROW_BITS, seed=seed)
+                  for seed in (0, 1)]
+        with pytest.raises(StoreFormatError, match="0x15"):
+            loads(legacy_sharded_frame(shards))
+
+    @pytest.mark.parametrize("kind", ["minimum", "estimation",
+                                      "bucketing", "fm"])
+    def test_windowed_bucket_hash_mismatch_rejected(self, kind):
+        window = build_sketch(kind, NARROW_BITS, SMALL, seed=0,
+                              window=4.0, buckets=2)
+        window.buckets[1] = make_sketch(kind, NARROW_BITS, seed=1)
+        with pytest.raises(StoreFormatError, match="prototype"):
+            loads(dumps(window))
+
+    def test_seeded_bit_flips_never_poison(self):
+        """One-bit flips in windowed and legacy sharded frames: each
+        either raises StoreFormatError or decodes to a sketch that can
+        estimate -- never one that fails on every later read."""
+        coarse = SketchParams(eps=0.8, delta=0.4, thresh_constant=8.0,
+                              repetitions_constant=2.0)
+        frames = [(FIXTURES / "legacy_sharded_minimum.bin").read_bytes()]
+        for kind in ("minimum", "bucketing"):
+            window = build_sketch(kind, NARROW_BITS, coarse, seed=4,
+                                  window=4.0, buckets=2)
+            for t in range(3):
+                window.advance(float(t))
+                window.process_batch(list(range(t * 40, t * 40 + 60)))
+            frames.append(dumps(window))
+        rng = random.Random(1)
+        for blob in frames:
+            for _ in range(300):
+                flipped = bytearray(blob)
+                bit = rng.randrange(8 * len(blob))
+                flipped[bit >> 3] ^= 1 << (bit & 7)
+                try:
+                    sketch = loads(bytes(flipped))
+                except StoreFormatError:
+                    continue
+                sketch.estimate()
 
     def test_inflated_fm_levels_rejected(self):
         """A frame whose trail-zero levels exceed the hash range must
@@ -437,15 +511,12 @@ class TestCachedReadPath:
     def test_warm_estimate_is_zero_work(self):
         from repro.store.store import VIEW_METRICS
         store = SketchStore()
-        store.create("sh", make_sketch("minimum", NARROW_BITS, shards=4))
+        store.create("sh", make_sketch("minimum", NARROW_BITS))
         store.ingest("sh", stream(NARROW_BITS, 500))
-        sharded = store._entries["sh"].sketch
-        assert isinstance(sharded, ShardedF0)
 
-        # Warm the view (one build, one merge, one serialization).
+        # Warm the view (one build, one serialization).
         first = store.estimate("sh")
         store.info("sh")
-        assert sharded.merge_rebuilds == 1
 
         VIEW_METRICS.reset()
         for _ in range(50):
@@ -455,7 +526,6 @@ class TestCachedReadPath:
         assert VIEW_METRICS.builds == 0
         assert VIEW_METRICS.serializations == 0
         assert VIEW_METRICS.hits == 150
-        assert sharded.merge_rebuilds == 1  # No merge-per-estimate.
 
     def test_mutation_invalidates_view(self):
         from repro.store.store import VIEW_METRICS

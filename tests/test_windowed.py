@@ -3,8 +3,9 @@
 Covers the ring mechanics (rotation, eviction, partial-span reads),
 the algebra the sketches guarantee (merge commutativity/associativity
 across rotated rings, rotate-then-merge equals merge-then-rotate),
-serialization round trips, the sharded and factory wrap orders, and
-the service surface (``?window=`` estimates, the advance endpoint).
+serialization round trips, replicas advanced in lock step and then
+merged, the factory wrap, and the service surface (``?window=``
+estimates, the advance endpoint).
 """
 
 import copy
@@ -22,7 +23,6 @@ from repro.store.store import SketchStore
 from repro.streaming.base import SketchParams
 from repro.streaming.exact import ExactF0
 from repro.streaming.minimum import MinimumF0
-from repro.streaming.sharded import ShardedF0
 from repro.streaming.windowed import WindowedF0
 
 # Cheap-but-real accuracy knobs (a handful of repetitions, tiny rows).
@@ -182,30 +182,40 @@ class TestSerialization:
         assert w.space_bits() >= 4 * base.space_bits()
 
 
+def _merge_of_replicas(replicas, stream):
+    """Advance every replica in lock step, deal each batch to the next
+    replica in turn, then merge the replicas into the first."""
+    for j, (t, items) in enumerate(stream):
+        for replica in replicas:
+            replica.advance(t)
+        replicas[j % len(replicas)].process_batch(items)
+    merged = replicas[0]
+    for replica in replicas[1:]:
+        merged.merge(replica)
+    return merged
+
+
 class TestShardedWindowed:
     def test_factory_wrap_order(self):
-        s = build_sketch("minimum", BITS, PARAMS, seed=5, shards=3,
-                         window=8.0, buckets=4)
-        assert isinstance(s, ShardedF0)
-        assert all(isinstance(sh, WindowedF0) for sh in s.shards)
+        s = build_sketch("minimum", BITS, PARAMS, seed=5, window=8.0,
+                         buckets=4)
+        assert isinstance(s, WindowedF0)
+        assert s.num_buckets == 4
+        plain = build_sketch("minimum", BITS, PARAMS, seed=5)
+        assert dumps(s._proto) == dumps(plain)
 
     def test_buckets_without_window_rejected(self):
         with pytest.raises(InvalidParameterError):
             build_sketch("minimum", BITS, PARAMS, buckets=4)
 
     def test_sharded_rotation_and_estimates(self):
-        s = build_sketch("exact", 0, seed=0, shards=2, window=4.0,
-                         buckets=4)
-        s.process_batch([1, 2, 3])
+        replicas = [build_sketch("exact", 0, window=4.0, buckets=4)
+                    for _ in range(2)]
+        s = _merge_of_replicas(replicas, [(0.0, [1, 2]), (0.0, [3])])
         assert s.estimate() == 3
         assert s.estimate_window(1.0) == 3
         s.advance(4.0)
         assert s.estimate() == 0
-
-    def test_advance_on_plain_sharded_rejected(self):
-        s = ShardedF0(_minimum(), 2)
-        with pytest.raises(InvalidParameterError):
-            s.advance(1.0)
 
     def test_sharded_matches_serial_bit_identically(self):
         rng = random.Random(3)
@@ -214,21 +224,19 @@ class TestShardedWindowed:
                   for t in range(16)]
         serial = build_sketch("minimum", BITS, PARAMS, seed=5,
                               window=8.0, buckets=4)
-        sharded = build_sketch("minimum", BITS, PARAMS, seed=5,
-                               shards=3, window=8.0, buckets=4)
         for t, items in stream:
             serial.advance(t)
-            sharded.advance(t)
             serial.process_batch(items)
-            sharded.process_batch(items)
-        assert sharded.estimate() == serial.estimate()
+        merged = _merge_of_replicas(
+            [build_sketch("minimum", BITS, PARAMS, seed=5, window=8.0,
+                          buckets=4) for _ in range(3)], stream)
+        assert merged.estimate() == serial.estimate()
         for span in (2.0, 4.0, 8.0):
-            assert (sharded.estimate_window(span)
+            assert (merged.estimate_window(span)
                     == serial.estimate_window(span))
         # The ring contents must be bit-identical; only the local
         # eviction counter (an ops metric, deliberately unmerged) may
-        # differ between a merged shard view and the serial run.
-        merged = copy.deepcopy(sharded.merged_view())
+        # differ between the merged replicas and the serial run.
         merged.evictions = serial.evictions
         assert dumps(merged) == dumps(serial)
 

@@ -77,7 +77,6 @@ class EpisodeSpec:
     delta: float = SOAK_PARAMS["delta"]
     thresh_constant: float = SOAK_PARAMS["thresh_constant"]
     repetitions_constant: float = SOAK_PARAMS["repetitions_constant"]
-    shards: int = 1
 
     @property
     def width(self) -> float:
@@ -95,8 +94,8 @@ class EpisodeSpec:
     def build(self):
         """A fresh sketch matching this spec (seeded by ``seed``)."""
         return build_sketch(self.kind, self.universe_bits, self.params,
-                            seed=self.seed, shards=self.shards,
-                            window=self.window, buckets=self.buckets)
+                            seed=self.seed, window=self.window,
+                            buckets=self.buckets)
 
 
 def generate_events(spec: EpisodeSpec) -> Iterator[Dict[str, object]]:
@@ -243,7 +242,6 @@ class EpisodeReport:
     kind: str
     window: float
     buckets: int
-    shards: int
     ticks: int = 0
     items: int = 0
     checkpoints: int = 0
@@ -335,8 +333,7 @@ def run_episode(spec: EpisodeSpec, mode: str = "store",
     report = EpisodeReport(
         episode=spec.name, seed=spec.seed, git_hash=git_hash(),
         mode=mode, kind=spec.kind, window=spec.window,
-        buckets=spec.buckets, shards=spec.shards,
-        byte_budget=byte_budget)
+        buckets=spec.buckets, byte_budget=byte_budget)
     if mode == "store":
         _run_store_mode(spec, events, report, byte_budget, check_every)
     elif mode == "service":
@@ -361,7 +358,7 @@ def _run_store_mode(spec: EpisodeSpec, events, report: EpisodeReport,
         "space_bits": sketch.space_bits,
     }
     _drive(spec, events, ops, report, byte_budget, check_every)
-    report.evictions = _evictions(sketch)
+    report.evictions = sketch.evictions
     frame = dumps(sketch)
     report.snapshot_roundtrip_ok = dumps(loads(frame)) == frame
     if not report.snapshot_roundtrip_ok:
@@ -387,8 +384,8 @@ def _run_service_mode(spec: EpisodeSpec, events, report: EpisodeReport,
                       delta=spec.delta,
                       thresh_constant=spec.thresh_constant,
                       repetitions_constant=spec.repetitions_constant,
-                      seed=spec.seed, shards=spec.shards,
-                      window=spec.window, buckets=spec.buckets)
+                      seed=spec.seed, window=spec.window,
+                      buckets=spec.buckets)
         ops = {
             "advance": lambda t: client.advance(spec.name, t),
             "ingest": lambda items: client.ingest(spec.name, items),
@@ -398,7 +395,7 @@ def _run_service_mode(spec: EpisodeSpec, events, report: EpisodeReport,
         }
         _drive(spec, events, ops, report, byte_budget, check_every)
         final = client.fetch(spec.name)
-        report.evictions = _evictions(final)
+        report.evictions = final.evictions
         frame = dumps(final)
         report.snapshot_roundtrip_ok = dumps(loads(frame)) == frame
         if not report.snapshot_roundtrip_ok:
@@ -406,16 +403,6 @@ def _run_service_mode(spec: EpisodeSpec, events, report: EpisodeReport,
                 "snapshot round trip not bit-identical")
     finally:
         frontend.stop()
-
-
-def _evictions(sketch) -> int:
-    """Total ring evictions, summed over shards when sharded."""
-    if hasattr(sketch, "evictions"):
-        return int(sketch.evictions)
-    shards = getattr(sketch, "shards", None)
-    if shards:
-        return sum(int(getattr(s, "evictions", 0)) for s in shards)
-    return 0
 
 
 def write_artifact(report: EpisodeReport, out_dir: str) -> str:
@@ -429,7 +416,7 @@ def write_artifact(report: EpisodeReport, out_dir: str) -> str:
 
 
 def standard_episodes(seed: int) -> List[EpisodeSpec]:
-    """The nightly episode set: every sketch kind, one sharded run.
+    """The nightly episode set: every sketch kind.
 
     Flajolet-Martin runs with a wider ``eps`` and more repetitions:
     its estimator snaps to powers of two, so a ``(1 + 0.7)`` band is
@@ -443,8 +430,6 @@ def standard_episodes(seed: int) -> List[EpisodeSpec]:
     episodes.append(EpisodeSpec(name="soak-fm", seed=seed + 3,
                                 kind="fm", eps=2.0,
                                 repetitions_constant=12.0))
-    episodes.append(EpisodeSpec(name="soak-sharded", seed=seed + 100,
-                                kind="minimum", shards=3))
     return episodes
 
 
