@@ -73,19 +73,16 @@ class DnfTerm:
 
     def solution_space(self, num_vars: int) -> Optional[AffineSubspace]:
         """The term's solutions as an affine subspace of ``{0,1}^num_vars``
-        (``None`` for a contradictory term)."""
+        (``None`` for a contradictory term): origin ``pos_mask``, one unit
+        vector per free variable -- already the canonical reduced form."""
         if self.is_contradictory:
             return None
-        rows: List[int] = []
-        rhs: List[int] = []
         fixed = self.pos_mask | self.neg_mask
-        v = fixed
-        while v:
-            bitpos = (v & -v).bit_length() - 1
-            rows.append(1 << bitpos)
-            rhs.append((self.pos_mask >> bitpos) & 1)
-            v &= v - 1
-        return AffineSubspace.solve(rows, rhs, num_vars)
+        if fixed >> num_vars:
+            raise ValueError(f"term {self} exceeds num_vars={num_vars}")
+        free = [1 << j for j in range(num_vars - 1, -1, -1)
+                if not (fixed >> j) & 1]
+        return AffineSubspace(num_vars, self.pos_mask, free)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DnfTerm):

@@ -19,12 +19,14 @@ the paper:
 from repro.gf2.affine import AffineSubspace
 from repro.gf2.gf2n import GF2n, find_irreducible, is_irreducible
 from repro.gf2.matrix import (
+    apply_columns,
     mat_vec_mul,
     nullspace_basis,
     random_matrix_rows,
     rank,
     rref_msb,
     solve_affine_system,
+    transpose,
 )
 from repro.gf2.toeplitz import ToeplitzMatrix
 
@@ -32,6 +34,7 @@ __all__ = [
     "AffineSubspace",
     "GF2n",
     "ToeplitzMatrix",
+    "apply_columns",
     "find_irreducible",
     "is_irreducible",
     "mat_vec_mul",
@@ -40,4 +43,5 @@ __all__ = [
     "rank",
     "rref_msb",
     "solve_affine_system",
+    "transpose",
 ]

@@ -5,8 +5,10 @@ the common currency of every polynomial-time path in the paper:
 
 * the solutions of a DNF term intersected with ``h(x) = 0^m`` (BoundedSAT's
   DNF case, Proposition 1);
-* the hashed image ``h(Sol(T))`` of a DNF term, whose ``p`` numerically
-  smallest elements FindMin needs (Proposition 2);
+* the graph ``{(h(x), x)}`` of a hash, reduced once so that FindMin
+  (Proposition 2) answers each DNF term with a small solve, and the hashed
+  image ``h(Sol(T))`` of a term, whose trailing-zero reach FindMaxRange
+  needs;
 * the streamed affine spaces ``{x : Ax = b}`` of Section 5 (Proposition 4).
 
 The key operation is :meth:`AffineSubspace.smallest_elements`, which returns
@@ -26,21 +28,11 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence
 
 from repro.gf2.matrix import (
+    apply_columns,
     reduce_modulo_basis,
     rref_msb,
     solve_affine_system,
 )
-
-
-def _apply_columns(columns: Sequence[int], x: int) -> int:
-    """The linear map with the given columns applied to ``x``: the XOR of
-    ``columns[j]`` over the set bits ``j`` of ``x``."""
-    out = 0
-    while x:
-        low = x & -x
-        out ^= columns[low.bit_length() - 1]
-        x ^= low
-    return out
 
 
 class AffineSubspace:
@@ -166,9 +158,10 @@ class AffineSubspace:
     def smallest_elements(self, p: int) -> List[int]:
         """Return the ``min(p, size)`` numerically smallest elements, sorted.
 
-        This is the fast-path primitive behind FindMin (Proposition 2) and
-        AffineFindMin (Proposition 4): the subspace's elements are monotone
-        in the choice vector, so the smallest ``p`` are choices ``0..p-1``.
+        This is the fast-path primitive behind AffineFindMin
+        (Proposition 4) and the structured-set streams: the subspace's
+        elements are monotone in the choice vector, so the smallest ``p``
+        are choices ``0..p-1``.
         They are built by doubling: choices ``0..2^k - 1`` toggle only the
         ``k`` lowest-pivot basis vectors, and the next ``2^k`` choices are
         the same list XORed with the next one up -- one XOR per element.
@@ -257,8 +250,8 @@ class AffineSubspace:
         if offset >> out_width:
             raise ValueError(f"offset {offset:#x} does not fit in "
                              f"{out_width} bits")
-        new_origin = _apply_columns(columns, self.origin) ^ offset
-        new_basis = [_apply_columns(columns, b) for b in self.basis]
+        new_origin = apply_columns(columns, self.origin) ^ offset
+        new_basis = [apply_columns(columns, b) for b in self.basis]
         return AffineSubspace(out_width, new_origin, new_basis)
 
     def __repr__(self) -> str:

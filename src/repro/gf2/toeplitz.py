@@ -49,17 +49,17 @@ class ToeplitzMatrix:
         return max(self.nrows + self.ncols - 1, 0)
 
     def _materialise_rows(self) -> List[int]:
+        # Row i's window of the seed, bits i .. i+n-1, holds A[i][n-1-t]
+        # at bit t, so the row is that window reversed.  Reverse the whole
+        # seed once instead: row i is the n-bit window of ``rev`` at
+        # length - n - i.
         n = self.ncols
-        rows = []
-        for i in range(self.nrows):
-            window = (self.diag >> i) & ((1 << n) - 1) if n else 0
-            # window bit t is A[i][n-1-t]; reverse to put column j at bit j.
-            row = 0
-            for t in range(n):
-                if (window >> t) & 1:
-                    row |= 1 << (n - 1 - t)
-            rows.append(row)
-        return rows
+        if not n:
+            return [0] * self.nrows
+        length = self.nrows + n - 1
+        rev = int(format(self.diag, f"0{length}b")[::-1], 2)
+        mask = (1 << n) - 1
+        return [(rev >> (length - n - i)) & mask for i in range(self.nrows)]
 
     def entry(self, i: int, j: int) -> int:
         """Return ``A[i][j]`` (bounds-checked)."""

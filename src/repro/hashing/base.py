@@ -24,7 +24,7 @@ from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.common.bitvec import trailing_zeros
 from repro.common.rng import RandomSource
-from repro.gf2.matrix import mat_vec_mul
+from repro.gf2.matrix import transpose
 from repro.kernels import get_kernel
 
 try:
@@ -202,18 +202,15 @@ class LinearHash:
         ``value(x)`` is the XOR of the columns of ``x``'s set bits with
         :meth:`packed_offset`.
 
-        Built once per hash with ``in_bits`` calls to
-        :func:`~repro.gf2.matrix.mat_vec_mul` and published like
-        :meth:`_table`: a cold cache hit concurrently costs at most a
-        duplicate build of an equal table.
+        Built once per hash by one :func:`~repro.gf2.matrix.transpose`
+        and published like :meth:`_table`: a cold cache hit concurrently
+        costs at most a duplicate build of an equal table.
         """
         columns = self._columns
         if columns is None:
-            # Row r is output bit (m - 1 - r); mat_vec_mul puts row j of
-            # its argument at bit j, so feed rows in reversed order.
-            reversed_rows = self.rows[::-1]
-            columns = tuple(mat_vec_mul(reversed_rows, 1 << j)
-                            for j in range(self.in_bits))
+            # Row r is output bit (m - 1 - r); the transpose puts row r of
+            # its argument at bit r, so feed rows in reversed order.
+            columns = tuple(transpose(self.rows[::-1], self.in_bits))
             with _PACK_LOCK:
                 if self._columns is None:
                     self._columns = columns
@@ -369,9 +366,10 @@ class LinearHash:
         """The image ``{h(x) : x in space}`` as an affine subspace of the
         *value* space (numeric order == lexicographic order).
 
-        This is the workhorse of FindMin's polynomial-time DNF path
-        (Proposition 2): the ``p`` lexicographically smallest hash values of
-        a term are ``image_space(term space).smallest_elements(p)``.  The
+        The ``p`` lexicographically smallest hash values of a term are
+        ``image_space(term space).smallest_elements(p)`` (FindMin's
+        prefix-search oracle and the structured streams use this; the
+        DNF FindMin path reduces the hash's graph once instead).  The
         map runs in column form (:meth:`columns`), one XOR per set bit of
         the space's origin and basis vectors.
         """

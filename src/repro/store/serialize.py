@@ -430,9 +430,9 @@ def _dec_exact(r: _Reader) -> ExactF0:
 def _seed_key(sk) -> tuple:
     """What two sketches must share for ``merge`` to be sound: their
     type and every hash seed (a window answers with its prototype's).
-    Only Minimum and Bucketing rows check their hashes at merge time; a
-    decoder that skipped this would admit frames that fail, or silently
-    mix seeds, on every later estimate."""
+    Each sketch's ``merge`` refuses foreign hashes, but a decoder that
+    skipped this would admit frames that fail on every later merge or
+    estimate."""
     if isinstance(sk, WindowedF0):
         return _seed_key(sk._proto)
     if isinstance(sk, (MinimumF0, BucketingF0)):

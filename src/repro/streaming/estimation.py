@@ -66,6 +66,9 @@ class EstimationRow:
         """Entry-wise max (the distributed Section 4 combine step)."""
         if len(other.maxima) != len(self.maxima):
             raise ValueError("cannot merge rows of different widths")
+        if any(a.field.n != b.field.n or a.coeffs != b.coeffs
+               for a, b in zip(self.hashes, other.hashes)):
+            raise ValueError("cannot merge rows with different hashes")
         self.maxima = [max(a, b) for a, b in zip(self.maxima, other.maxima)]
 
     def estimate(self, r: int) -> float:

@@ -66,6 +66,9 @@ class FlajoletMartinF0:
 
     def merge(self, other: "FlajoletMartinF0") -> None:
         """Combine with an FM sketch built from the same seeds."""
+        if any(a.rows != b.rows or a.offsets != b.offsets
+               for a, b in zip(self.hashes, other.hashes)):
+            raise ValueError("cannot merge sketches with different hashes")
         self.max_trail = self.merge_levels(self.max_trail, other.max_trail)
 
     def estimate(self) -> float:

@@ -25,6 +25,7 @@ from repro.core.find_min import (
 from repro.formulas.cnf import CnfFormula
 from repro.formulas.dnf import DnfFormula
 from repro.formulas.generators import random_dnf, random_k_cnf
+from repro.hashing.base import LinearHash
 from repro.hashing.kwise import KWiseHashFamily
 from repro.hashing.toeplitz import ToeplitzHashFamily
 from repro.hashing.xor import XorHashFamily
@@ -50,8 +51,10 @@ def dnf_with_hash(draw):
                  min_size=0, max_size=4), min_size=1, max_size=5))
     dnf = DnfFormula(n, terms)
     seed = draw(st.integers(0, 2**16))
-    m = draw(st.integers(1, 3)) * n
-    h = ToeplitzHashFamily(n, m).sample(random.Random(seed))
+    # Narrow hashes (m < n) are never injective, so FindMin must dedupe.
+    m = draw(st.integers(1, 3 * n))
+    family = draw(st.sampled_from([ToeplitzHashFamily, XorHashFamily]))
+    h = family(n, m).sample(random.Random(seed))
     return dnf, h
 
 
@@ -142,6 +145,35 @@ class TestFindMin:
             fast = find_min_dnf(DnfFormula(dnf.num_vars, [term]), h, p)
             slow = find_min_term_prefix_search(term, dnf.num_vars, h, p)
             assert fast == slow
+
+    @pytest.mark.parametrize("num_vars,rows,offsets", [
+        (4, [0b0011, 0b0011, 0b0000, 0b0101], [1, 0, 1, 0]),
+        (5, [0, 0, 0], [0, 1, 1]),
+        (6, [0b110000, 0b000011, 0b110011, 0, 0b110000], [0, 1, 1, 0, 0]),
+        (6, [0b101101, 0b010010, 0b111111], [1, 1, 0]),
+        (3, [0b111], [1]),
+    ], ids=["duplicate-and-zero-rows", "constant", "rank-2", "narrow",
+            "parity"])
+    def test_rank_deficient_hashes(self, num_vars, rows, offsets):
+        # Kernel directions of h collapse many solutions onto one value;
+        # p = 100 asks for more values than the image holds.
+        h = LinearHash(num_vars, rows, offsets)
+        rng = random.Random(num_vars * 31 + len(rows))
+        for _ in range(10):
+            dnf = random_dnf(rng, num_vars, rng.randint(1, 4),
+                             rng.randint(0, num_vars))
+            for p in (1, 2, 3, 100):
+                expected = brute_hash_values(dnf, h)[:p]
+                assert find_min_dnf(dnf, h, p) == expected
+                for term in dnf.terms:
+                    assert (find_min_term_prefix_search(term, num_vars, h, p)
+                            == find_min_dnf(DnfFormula(num_vars, [term]),
+                                            h, p))
+
+    def test_hash_width_must_match_formula(self):
+        h = ToeplitzHashFamily(3, 9).sample(random.Random(4))
+        with pytest.raises(ValueError):
+            find_min_dnf(DnfFormula(4, [[1]]), h, 2)
 
     def test_unsatisfiable_formula_gives_empty(self):
         cnf = CnfFormula(2, [[1], [-1]])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf2.matrix import (
+    apply_columns,
     mat_vec_mul,
     nullspace_basis,
     random_matrix_rows,
@@ -15,6 +16,7 @@ from repro.gf2.matrix import (
     reduce_modulo_basis,
     rref_msb,
     solve_affine_system,
+    transpose,
 )
 
 
@@ -56,6 +58,34 @@ class TestMatVecMul:
 
     def test_empty_matrix(self):
         assert mat_vec_mul([], 0b101) == 0
+
+
+class TestTranspose:
+    @given(st.integers(0, 9), st.integers(0, 9), st.data())
+    def test_matches_unit_vector_products(self, nrows, ncols, data):
+        # Bits at and above ncols are ignored, as mat_vec_mul with a unit
+        # vector below ncols never reads them.
+        rows = [data.draw(st.integers(0, (1 << (ncols + 3)) - 1))
+                for _ in range(nrows)]
+        assert transpose(rows, ncols) == [mat_vec_mul(rows, 1 << j)
+                                          for j in range(ncols)]
+
+    @given(matrix_and_vector())
+    def test_involution(self, data):
+        rows, _x, ncols = data
+        assert transpose(transpose(rows, ncols), len(rows)) == rows
+
+    def test_known(self):
+        assert transpose([0b011, 0b110], 3) == [0b01, 0b11, 0b10]
+        assert transpose([], 2) == [0, 0]
+        assert transpose([0b1], 0) == []
+
+
+class TestApplyColumns:
+    @given(matrix_and_vector())
+    def test_matches_row_form(self, data):
+        rows, x, ncols = data
+        assert apply_columns(transpose(rows, ncols), x) == mat_vec_mul(rows, x)
 
 
 class TestRank:
@@ -218,6 +248,28 @@ class TestSolveAffineSystem:
             assert brute == 0
         else:
             assert brute == 1 << len(result[1])
+
+
+    @given(matrix_and_vector(), st.data())
+    @settings(max_examples=60)
+    def test_result_is_msb_first_reduced(self, data, draw):
+        # The documented shape: x0 vanishes on free columns; one basis
+        # vector per free column, increasing, led by that column and
+        # otherwise made of pivot columns.
+        rows, _x, ncols = data
+        rhs = [draw.draw(st.integers(0, 1)) for _ in rows]
+        result = solve_affine_system(rows, rhs, ncols)
+        if result is None:
+            return
+        x0, basis = result
+        leads = [b.bit_length() - 1 for b in basis]
+        assert leads == sorted(set(leads))
+        free = sum(1 << c for c in leads)
+        assert x0 & free == 0
+        for b, c in zip(basis, leads):
+            assert b & free == 1 << c
+        assert rref_msb(basis)[0] == basis[::-1]
+        assert reduce_modulo_basis(x0, basis[::-1]) == x0
 
 
 class TestNullspace:

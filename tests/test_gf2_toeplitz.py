@@ -26,6 +26,21 @@ class TestStructure:
             for j in range(ncols):
                 assert m.entry(i, j) == (m.rows[i] >> j) & 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_follow_diagonal_definition(self, seed):
+        # A[i][j] is bit i - j + ncols - 1 of the seed, read straight off
+        # the materialised rows, for shapes with no rows or no columns too.
+        rng = random.Random(seed)
+        for nrows, ncols in [(0, 0), (0, 5), (4, 0), (1, 1), (7, 3),
+                             (3, 7), (rng.randint(1, 40), rng.randint(1, 40))]:
+            m = ToeplitzMatrix.random(rng, nrows, ncols)
+            assert len(m.rows) == nrows
+            for i, row in enumerate(m.rows):
+                assert row >> ncols == 0
+                for j in range(ncols):
+                    bit = (m.diag >> (i - j + ncols - 1)) & 1
+                    assert (row >> j) & 1 == bit
+
     def test_determined_by_first_row_and_column(self):
         # Seed bits map to first row (read right-to-left) then first column.
         m = ToeplitzMatrix(3, 3, 0b10110)

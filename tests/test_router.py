@@ -318,6 +318,20 @@ class TestRouterErrors:
                               dumps(foreign))
         assert reply.status == 400
 
+    @pytest.mark.parametrize("kind", ["estimation", "fm"])
+    def test_foreign_seed_merge_400(self, router, kind):
+        make_created(router, "a", kind=kind, seed=0)
+        router.handle("POST", "/v1/sketches/a/ingest",
+                      jbody({"items": stream(14, 50, seed=4)}))
+        before = router.handle("GET", "/v1/sketches/a/blob").payload
+        foreign = build_sketch(kind, 14, SMALL, seed=1)
+        foreign.process_batch(stream(14, 50, seed=5))
+        reply = router.handle("POST", "/v1/sketches/a/merge",
+                              dumps(foreign))
+        assert reply.status == 400
+        assert "different hashes" in reply.json_body()["error"]
+        assert router.handle("GET", "/v1/sketches/a/blob").payload == before
+
     def test_snapshot_without_path_400(self, router):
         assert router.handle("POST", "/v1/snapshot").status == 400
         assert router.handle("POST", "/v1/restore").status == 400
