@@ -1,4 +1,4 @@
-"""E29 -- Compute-kernel throughput: python vs numba on the two hot loops.
+"""E29 -- Compute-kernel throughput: python, native and numba on the hot loops.
 
 The kernel registry (:mod:`repro.kernels`) makes the CDCL propagation
 loop and the batched GF(2) hashing loops pluggable.  This benchmark runs
@@ -17,11 +17,14 @@ one way a kernel is chosen -- process-wide, with :func:`set_default_kernel`:
   side of the registry.
 
 Results are asserted **bit-identical across kernels** (estimates,
-sketches, propagation counts -- the registry's parity contract), and
-per-workload speedups land in ``BENCH_E29.json``.  The >= 3x gate on the
-propagation workload is enforced only when numba is importable; on a
-bare container the run still verifies parity and records an explicit
-skip marker, mirroring E25's CPU-count gate.
+sketches, propagation counts -- the registry's parity contract; the
+``python`` kernel is the reference), and per-workload speedups land in
+``BENCH_E29.json``, one row per available kernel: ``native`` (the C
+propagation loop, wherever a C compiler is on ``PATH``) is recorded
+next to ``numba`` so the two compiled loops can be compared.  The >= 3x
+gate on the propagation workload is enforced only when numba is
+importable; on a bare container the run still verifies parity and
+records an explicit skip marker, mirroring E25's CPU-count gate.
 """
 
 import random
@@ -57,13 +60,15 @@ STREAM_LENGTH = 200_000
 STREAM_F0 = 30_000
 CHUNK_SIZE = 4096
 
-AVAILABLE = [n for n in kernel_names() if kernel_info(n).available]
+#: Available kernels, the ``python`` reference first.
+AVAILABLE = sorted((n for n in kernel_names() if kernel_info(n).available),
+                   key=lambda n: n != "python")
 
 
 def _bench_propagation():
     formula = random_k_cnf(random.Random(17), PROP_VARS, PROP_CLAUSES, k=3)
     solver = CdclSolver.from_cnf(formula)
-    solver.solve()  # Warm-up: first call pays any JIT compilation.
+    solver.solve()  # Warm-up: pays numba's JIT or native's first build.
     t0 = time.perf_counter()
     verdicts = []
     for seed in range(PROP_ROUNDS):
@@ -115,7 +120,7 @@ WORKLOADS = (
 
 def test_e29_kernel_throughput(capsys):
     times = {}       # (workload, kernel) -> seconds
-    fingerprints = {}  # workload -> reference result, from the default.
+    fingerprints = {}  # workload -> reference result, from python.
     for workload, bench in WORKLOADS:
         for kernel in AVAILABLE:
             set_default_kernel(kernel)

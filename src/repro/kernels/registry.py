@@ -9,16 +9,23 @@ through per-byte tables in plain numpy, outside the kernel).  This
 registry makes *which code runs those loops* a configuration flag, like
 the solver-backend registry in :mod:`repro.sat.backends`:
 
-* ``python`` (default) -- the pure-python/numpy paths factored out of the
+* ``native`` -- :func:`repro.kernels.cdcl_loops.propagate` translated
+  line for line to C, compiled on first use into a per-user cache
+  (:mod:`repro.kernels.native`); registered as *unavailable* when no C
+  compiler is on ``PATH``.
+* ``python`` -- the pure-python/numpy paths factored out of the
   original implementations; zero dependencies beyond numpy.
 * ``numba`` -- the same loop sources njit-compiled (soft dependency;
   registered as *unavailable* when numba is not importable, so listings
   stay honest and selection errors stay friendly).
 
+The default is ``native`` when that entry is available, else ``python``
+(:func:`repro.kernels.register_native_kernel` sets it).
+
 :data:`KERNELS` is a :class:`repro.common.registry.Registry`.  The
 kernel is a process-wide choice: :func:`get_kernel` resolves the
 :func:`set_default_kernel` override (the CLI's ``--kernel`` flag), else
-``REPRO_KERNEL``, else :data:`DEFAULT_KERNEL`, and no hash, sketch,
+``REPRO_KERNEL``, else the default, and no hash, sketch,
 oracle or counter takes a kernel of its own.  Kernels are bit-identical,
 so the choice changes speed, never answers.  A process pool's workers
 run the kernel resolved when the pool was created
@@ -30,7 +37,7 @@ A kernel is an object with the loop surface documented in DESIGN.md
 (section "Compute-kernel registry"): ``propagate(state)`` over a
 :class:`repro.kernels.state.SolverState`, plus the batched hashing ops
 ``gf2_eval_poly_batch`` / ``trail_zeros_batch`` /
-``bit_length_batch``.  Both registered kernels are bit-identical by
+``bit_length_batch``.  All registered kernels are bit-identical by
 contract (``tests/test_kernels.py`` enforces it); a kernel that is merely
 *approximately* right would silently break the golden-pinned determinism
 tests, so the parity suite is the price of admission for a new entry.
@@ -43,13 +50,12 @@ from typing import Dict, Optional
 
 from repro.common.registry import Entry, Registry
 
-#: The kernel used when no explicit name, override, or env var applies.
-DEFAULT_KERNEL = "python"
-
 #: Environment variable consulted when no explicit kernel is requested.
 ENV_VAR = "REPRO_KERNEL"
 
-KERNELS = Registry("kernel", DEFAULT_KERNEL, ENV_VAR)
+#: The default becomes ``native`` when that entry registers as available
+#: (:func:`repro.kernels.register_native_kernel`).
+KERNELS = Registry("kernel", "python", ENV_VAR)
 
 register_kernel = KERNELS.register
 kernel_names = KERNELS.names

@@ -8,7 +8,8 @@ watch *arenas* (one flat pool per watch kind with per-literal /
 per-variable ``start``/``len``/``cap`` triples; lists relocate-and-double
 inside the pool as they grow).  The ``python`` kernel reads the arrays
 through cached zero-copy :class:`memoryview`s (plain-int element access);
-the ``numba`` kernel takes the numpy arrays directly.  Either way the
+the ``numba`` kernel takes the numpy arrays directly, and the ``native``
+kernel a cached ctypes array of their addresses.  Either way the
 state is the single representation -- no conversion happens on kernel
 switch, which is the point of the layout.
 
@@ -40,6 +41,11 @@ INITIAL_WATCH_POOL = 1024
 INITIAL_XOR_ROWS = 32
 INITIAL_XOR_VARS = 256
 INITIAL_XWATCH_POOL = 256
+
+#: Element types of the propagate arrays, in argument order: what the C
+#: loop (``cdcl_loops.c``) reads through :meth:`SolverState.prop_args_native`.
+NATIVE_DTYPES = ((_np.int64, _np.int8) + (_np.int32,) * 13 + (_np.int8,)
+                 + (_np.int32,) * 6)
 
 
 def _grow(arr, new_cap: int, fill: int):
@@ -93,7 +99,8 @@ class SolverState:
     # -- views -----------------------------------------------------------
 
     def _refresh_views(self) -> None:
-        """Rebuild the cached memoryviews after any array was replaced."""
+        """Rebuild the cached memoryviews after any array was replaced
+        (and drop the argument tuple and pointer array built from them)."""
         self.mv_regs = memoryview(self.regs)
         self.mv_assigns = memoryview(self.assigns)
         self.mv_level = memoryview(self.level)
@@ -108,6 +115,7 @@ class SolverState:
         self.mv_xor_len = memoryview(self.xor_len)
         self.mv_xor_rhs = memoryview(self.xor_rhs)
         self._mv = None
+        self._native = None
 
     def prop_args_mv(self) -> tuple:
         """The :func:`~repro.kernels.cdcl_loops.propagate` argument tuple
@@ -121,6 +129,22 @@ class SolverState:
         """The propagate argument tuple as the numpy arrays themselves
         (the ``numba`` kernel's calling convention)."""
         return self._prop_arrays()
+
+    def prop_args_native(self):
+        """The propagate arguments as one ctypes array of 24 slots: the
+        22 array addresses, then the ``watch_pool`` and ``xwatch_pool``
+        lengths (the ``native`` kernel's calling convention)."""
+        if self._native is None:
+            import ctypes
+            arrays = self._prop_arrays()
+            for a, dtype in zip(arrays, NATIVE_DTYPES, strict=True):
+                if a.dtype != dtype or not a.flags.c_contiguous:
+                    raise TypeError(f"propagate array of {a.dtype} is not "
+                                    f"a contiguous {_np.dtype(dtype)}")
+            self._native = (ctypes.c_void_p * (len(arrays) + 2))(
+                *[a.ctypes.data for a in arrays],
+                self.watch_pool.shape[0], self.xwatch_pool.shape[0])
+        return self._native
 
     def _prop_arrays(self) -> tuple:
         return (self.regs, self.assigns, self.level, self.reason,

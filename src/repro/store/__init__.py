@@ -31,7 +31,7 @@ from repro.store.serialize import (
     serialized_size,
 )
 from repro.store.deltalog import DeltaLog, SeqCounter
-from repro.store.factory import SKETCH_KINDS, build_sketch
+from repro.store.factory import MAX_UNIVERSE_BITS, SKETCH_KINDS, build_sketch
 from repro.store.store import (
     VIEW_METRICS,
     CachedView,
@@ -46,6 +46,7 @@ __all__ = [
     "DeltaLog",
     "FORMAT_VERSION",
     "MAGIC",
+    "MAX_UNIVERSE_BITS",
     "SKETCH_KINDS",
     "SeqCounter",
     "SketchConflictError",

@@ -25,6 +25,11 @@ from repro.streaming.windowed import WindowedF0
 #: ``kind`` field).  Order is the display order of help strings.
 SKETCH_KINDS = ("minimum", "estimation", "bucketing", "fm", "exact")
 
+#: Widest element universe a hashed sketch may be built or decoded with.
+#: An ``estimation`` sketch's GF(2^n) field costs seconds to set up at
+#: n = 256 and most of a minute at 512; 64 bits covers every uint64 item.
+MAX_UNIVERSE_BITS = 64
+
 #: Default guarantee knobs for service-built sketches; matches the CLI.
 DEFAULT_PARAMS = SketchParams(eps=0.8, delta=0.2)
 
@@ -64,9 +69,9 @@ def build_sketch(kind: str, universe_bits: int,
         :class:`~repro.streaming.base.F0Sketch` contract.
 
     Raises:
-        InvalidParameterError: unknown ``kind``, a non-positive
-            ``universe_bits`` for a hashed kind, or ``buckets`` without
-            ``window``.
+        InvalidParameterError: unknown ``kind``, a hashed kind's
+            ``universe_bits`` outside ``1..MAX_UNIVERSE_BITS``, or
+            ``buckets`` without ``window``.
     """
     if kind not in SKETCH_KINDS:
         raise InvalidParameterError(
@@ -78,9 +83,11 @@ def build_sketch(kind: str, universe_bits: int,
     if kind == "exact":
         sketch: F0Sketch = ExactF0()
     else:
-        if universe_bits < 1:
+        if not 1 <= universe_bits <= MAX_UNIVERSE_BITS:
             raise InvalidParameterError(
-                "universe_bits must be >= 1 for hashed sketches")
+                f"universe_bits must be in 1..{MAX_UNIVERSE_BITS} "
+                f"(MAX_UNIVERSE_BITS) for hashed sketches, got "
+                f"{universe_bits}")
         if kind == "fm":
             sketch = FlajoletMartinF0(universe_bits, rng,
                                       repetitions=params.repetitions)

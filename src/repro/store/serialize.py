@@ -43,6 +43,7 @@ from repro.common.errors import ReproError
 from repro.gf2.gf2n import GF2n
 from repro.hashing.base import LinearHash
 from repro.hashing.kwise import KWiseHash
+from repro.store.factory import MAX_UNIVERSE_BITS
 from repro.streaming.base import SketchParams, VersionedCache
 from repro.streaming.bucketing import BucketingF0, BucketingRow
 from repro.streaming.estimation import EstimationF0, EstimationRow
@@ -237,10 +238,12 @@ def _w_kwise_hash(out: List[bytes], h: KWiseHash) -> None:
 
 def _r_kwise_hash(r: _Reader, field_cache: Dict[int, GF2n]) -> KWiseHash:
     n = r.u32()
-    if not 1 <= n <= 4096:
-        # A corrupted width would otherwise trigger an open-ended
-        # irreducible-modulus search inside GF2n.
-        raise StoreFormatError(f"implausible field width {n}")
+    if not 1 <= n <= MAX_UNIVERSE_BITS:
+        # A corrupted width would otherwise stall decode in GF2n's
+        # irreducible-modulus search (tens of seconds at 512 bits).
+        raise StoreFormatError(
+            f"field width {n} outside 1..{MAX_UNIVERSE_BITS} "
+            f"(MAX_UNIVERSE_BITS)")
     coeffs = r.bigint_list()
     field = field_cache.get(n)
     if field is None:

@@ -174,6 +174,18 @@ class F0Sketch(Protocol):
         ...
 
 
+def merge_rows(rows: Sequence, others: Sequence) -> None:
+    """Merge ``others`` into ``rows`` pairwise, checking every pair
+    (``row.check_merge``) before any row changes, so a refused merge
+    leaves the sketch as it was."""
+    if len(others) != len(rows):
+        raise ValueError("cannot merge sketches of different widths")
+    for mine, theirs in zip(rows, others):
+        mine.check_merge(theirs)
+    for mine, theirs in zip(rows, others):
+        mine.merge(theirs)
+
+
 def chunked(stream: Iterable[int],
             chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[Sequence[int]]:
     """Yield the stream in chunks of at most ``chunk_size`` items.

@@ -22,7 +22,7 @@ from repro.common.rng import RandomSource
 from repro.common.stats import median
 from repro.hashing.base import LinearHash
 from repro.hashing.toeplitz import ToeplitzHashFamily
-from repro.streaming.base import SketchParams
+from repro.streaming.base import SketchParams, merge_rows
 
 try:
     import numpy as _np
@@ -116,14 +116,18 @@ class BucketingRow:
             self._levels = {y: lvl for y, lvl in self._levels.items()
                             if y in self.bucket}
 
-    def merge(self, other: "BucketingRow") -> None:
-        """Combine with a sketch built from another sub-stream using the
-        same hash function (distributed Section 4)."""
+    def check_merge(self, other: "BucketingRow") -> None:
+        """Raise ``ValueError`` unless ``other`` has the same hash."""
         if other.h is not self.h:
             if other.h is None or self.h is None \
                     or other.h.rows != self.h.rows \
                     or other.h.offsets != self.h.offsets:
                 raise ValueError("cannot merge rows with different hashes")
+
+    def merge(self, other: "BucketingRow") -> None:
+        """Combine with a sketch built from another sub-stream using the
+        same hash function (distributed Section 4)."""
+        self.check_merge(other)
         self.level = max(self.level, other.level)
         self._levels.update(other._levels)
         merged = {y for y in self.bucket | other.bucket
@@ -176,11 +180,9 @@ class BucketingF0:
             row.process_batch(xs)
 
     def merge(self, other: "BucketingF0") -> None:
-        """Row-wise combine with a sketch built from the same seeds."""
-        if len(other.rows) != len(self.rows):
-            raise ValueError("cannot merge sketches of different widths")
-        for mine, theirs in zip(self.rows, other.rows):
-            mine.merge(theirs)
+        """Row-wise combine with a sketch built from the same seeds (all
+        or nothing: every row's hash is checked first)."""
+        merge_rows(self.rows, other.rows)
 
     def estimate(self) -> float:
         return median([row.estimate() for row in self.rows])

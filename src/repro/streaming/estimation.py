@@ -23,7 +23,7 @@ from repro.common.errors import InvalidParameterError
 from repro.common.rng import RandomSource
 from repro.common.stats import median
 from repro.hashing.kwise import KWiseHash, KWiseHashFamily
-from repro.streaming.base import SketchParams, VersionedCache
+from repro.streaming.base import SketchParams, VersionedCache, merge_rows
 
 try:
     import numpy as _np
@@ -62,13 +62,18 @@ class EstimationRow:
             if t > maxima[j]:
                 maxima[j] = t
 
-    def merge(self, other: "EstimationRow") -> None:
-        """Entry-wise max (the distributed Section 4 combine step)."""
+    def check_merge(self, other: "EstimationRow") -> None:
+        """Raise ``ValueError`` unless ``other`` has the same width and
+        hashes."""
         if len(other.maxima) != len(self.maxima):
             raise ValueError("cannot merge rows of different widths")
         if any(a.field.n != b.field.n or a.coeffs != b.coeffs
                for a, b in zip(self.hashes, other.hashes)):
             raise ValueError("cannot merge rows with different hashes")
+
+    def merge(self, other: "EstimationRow") -> None:
+        """Entry-wise max (the distributed Section 4 combine step)."""
+        self.check_merge(other)
         self.maxima = [max(a, b) for a, b in zip(self.maxima, other.maxima)]
 
     def estimate(self, r: int) -> float:
@@ -139,11 +144,9 @@ class EstimationF0:
         self._version += 1
 
     def merge(self, other: "EstimationF0") -> None:
-        """Row-wise entry maxima with a sketch built from the same seeds."""
-        if len(other.rows) != len(self.rows):
-            raise ValueError("cannot merge sketches of different widths")
-        for mine, theirs in zip(self.rows, other.rows):
-            mine.merge(theirs)
+        """Row-wise entry maxima with a sketch built from the same seeds
+        (all or nothing: every row's hashes are checked first)."""
+        merge_rows(self.rows, other.rows)
         self._version += 1
 
     def estimate_given_r(self, r: int) -> float:

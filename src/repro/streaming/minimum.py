@@ -32,7 +32,7 @@ from repro.common.rng import RandomSource
 from repro.common.stats import median
 from repro.hashing.base import LinearHash, int_to_words
 from repro.hashing.toeplitz import ToeplitzHashFamily
-from repro.streaming.base import SketchParams
+from repro.streaming.base import SketchParams, merge_rows
 
 try:
     import numpy as _np
@@ -118,11 +118,15 @@ class MinimumRow:
                 break
             members.add(v)
 
-    def merge(self, other: "MinimumRow") -> None:
-        """Union the value sets, keep the ``Thresh`` smallest."""
+    def check_merge(self, other: "MinimumRow") -> None:
+        """Raise ``ValueError`` unless ``other`` has the same hash."""
         if other.h is not self.h and (other.h.rows != self.h.rows
                                       or other.h.offsets != self.h.offsets):
             raise ValueError("cannot merge rows with different hashes")
+
+    def merge(self, other: "MinimumRow") -> None:
+        """Union the value sets, keep the ``Thresh`` smallest."""
+        self.check_merge(other)
         self.insert_values(other._members)
 
     def values(self) -> List[int]:
@@ -179,11 +183,9 @@ class MinimumF0:
             row.process_batch(xs)
 
     def merge(self, other: "MinimumF0") -> None:
-        """Row-wise union with a sketch built from the same seeds."""
-        if len(other.rows) != len(self.rows):
-            raise ValueError("cannot merge sketches of different widths")
-        for mine, theirs in zip(self.rows, other.rows):
-            mine.merge(theirs)
+        """Row-wise union with a sketch built from the same seeds (all
+        or nothing: every row's hash is checked first)."""
+        merge_rows(self.rows, other.rows)
 
     def estimate(self) -> float:
         """Median of the repetitions' estimates."""

@@ -235,6 +235,8 @@ class WindowedF0:
         Raises:
             InvalidParameterError: not a :class:`WindowedF0`, or the
                 window span / bucket count differ.
+            ValueError: the prototypes' hash seeds differ (nothing was
+                rotated or merged).
         """
         if not isinstance(other, WindowedF0):
             raise InvalidParameterError(
@@ -244,6 +246,9 @@ class WindowedF0:
             raise InvalidParameterError(
                 "windowed sketches must share window span and bucket "
                 "count to merge")
+        # A trial merge of the empty prototypes refuses different seeds
+        # before the ring rotates, so a refused merge changes nothing.
+        copy.deepcopy(self._proto).merge(other._proto)
         self._rotate_to(other._epoch)
         for idx in range(len(self.buckets)):
             if other._bucket_epochs[idx] == self._bucket_epochs[idx]:

@@ -356,7 +356,7 @@ class TestServeFlags:
 
 class TestListVerb:
     def test_list_prints_every_registry(self, capsys, monkeypatch):
-        from repro.kernels import KERNELS
+        from repro.kernels import DEFAULT_KERNEL, KERNELS
 
         monkeypatch.setattr(KERNELS, "entries", dict(KERNELS.entries))
         KERNELS.register("test-missing-dep", lambda: None,
@@ -367,7 +367,7 @@ class TestListVerb:
         for section in ("oracle backends (--oracle)", "kernels (--kernel;",
                         "executors (--executor;", "front ends (--frontend;"):
             assert section in out
-        for default in ("cdcl (default):", "python (default):",
+        for default in ("cdcl (default):", f"{DEFAULT_KERNEL} (default):",
                         "auto (default):", "threading (default):"):
             assert default in out
         assert "bruteforce:" in out and "multiproc:" in out

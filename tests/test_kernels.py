@@ -11,7 +11,9 @@ a registry entry.
 
 Kernels are a process-wide choice, so every parity case selects its
 kernel with :func:`set_default_kernel` (:func:`using_kernel`) and
-clears it afterwards.
+clears it afterwards.  The reference is always the ``python`` kernel,
+which runs :mod:`repro.kernels.cdcl_loops` itself: that module is the
+specification the ``native`` C translation is held to.
 
 The ``numba`` kernel is a soft dependency: its cross-kernel cases are
 skipped when it is not importable.  The CI job that installs it exports
@@ -20,9 +22,15 @@ there (mirroring ``REQUIRE_PYSAT`` for the solver backends).
 """
 
 import contextlib
+import ctypes
 import os
 import pickle
 import random
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -48,10 +56,11 @@ from repro.kernels import (
     kernel_info,
     kernel_names,
     register_kernel,
+    register_native_kernel,
     resolve_kernel_name,
     set_default_kernel,
 )
-from repro.kernels import batch_loops
+from repro.kernels import batch_loops, native
 from repro.kernels import state as kstate
 from repro.sat.backends import create_solver
 from repro.sat.bruteforce import brute_force_models
@@ -63,6 +72,9 @@ np = pytest.importorskip("numpy")
 
 #: Kernels whose soft dependencies are importable here.
 AVAILABLE = [n for n in kernel_names() if kernel_info(n).available]
+
+#: The kernel every other one must match: the loop source, interpreted.
+REFERENCE = "python"
 
 
 @contextlib.contextmanager
@@ -126,7 +138,7 @@ class TestSolverParity:
     @pytest.mark.parametrize("kernel,name,formula,xors", CASES)
     def test_models_and_calls_match_reference_kernel(self, kernel, name,
                                                      formula, xors):
-        reference = _enumerate(formula, xors, DEFAULT_KERNEL)
+        reference = _enumerate(formula, xors, REFERENCE)
         assert _enumerate(formula, xors, kernel) == reference
         assert sorted(reference[0]) == brute_force_models(formula, xors)
 
@@ -145,7 +157,7 @@ class TestSolverParity:
     @settings(max_examples=60, deadline=None)
     def test_hypothesis_parity_across_kernels(self, instance):
         formula, xors = instance
-        reference = _enumerate(formula, xors, DEFAULT_KERNEL)
+        reference = _enumerate(formula, xors, REFERENCE)
         assert sorted(reference[0]) == brute_force_models(formula, xors)
         for kernel in AVAILABLE:
             assert _enumerate(formula, xors, kernel) == reference
@@ -263,7 +275,7 @@ class TestCounterParity:
     @pytest.mark.parametrize("kernel", AVAILABLE)
     def test_approx_mc_estimate_and_calls(self, kernel):
         formula = random_k_cnf(random.Random(5), 10, 25, k=3)
-        with using_kernel(DEFAULT_KERNEL):
+        with using_kernel(REFERENCE):
             reference = approx_mc(formula, self.PARAMS, random.Random(0))
         with using_kernel(kernel):
             result = approx_mc(formula, self.PARAMS, random.Random(0))
@@ -275,8 +287,11 @@ class TestCounterParity:
 class TestRegistry:
     def test_default_first_and_known_kernels(self):
         names = kernel_names()
-        assert names[0] == DEFAULT_KERNEL == "python"
-        assert has_kernel("numba")  # Registered even when unavailable.
+        assert names[0] == DEFAULT_KERNEL
+        assert DEFAULT_KERNEL == ("native" if kernel_info("native").available
+                                  else "python")
+        # Registered even when unavailable.
+        assert has_kernel("numba") and has_kernel("native")
         assert kernel_info(DEFAULT_KERNEL).available
 
     def test_numba_available_when_required(self):
@@ -318,9 +333,10 @@ class TestRegistry:
         assert resolve_kernel_name(None) == DEFAULT_KERNEL
 
     def test_set_default_kernel_validates_eagerly(self):
+        before = resolve_kernel_name(None)
         with pytest.raises(InvalidParameterError, match="registered:"):
             set_default_kernel("no-such-kernel")
-        assert resolve_kernel_name(None) == DEFAULT_KERNEL
+        assert resolve_kernel_name(None) == before
 
     def test_instances_cached(self):
         assert get_kernel(DEFAULT_KERNEL) is get_kernel(DEFAULT_KERNEL)
@@ -335,8 +351,9 @@ class TestCli:
 
     def test_count_with_explicit_kernel(self, cnf_path, capsys):
         from repro.cli import main
+        before = resolve_kernel_name(None)
         assert main(["count", cnf_path, "--kernel", DEFAULT_KERNEL]) == 0
-        assert resolve_kernel_name(None) == DEFAULT_KERNEL  # No leak.
+        assert resolve_kernel_name(None) == before  # No leak.
         assert capsys.readouterr().out.strip() == "4"
 
     def test_unknown_kernel_flag_is_friendly(self, cnf_path, capsys):
@@ -352,3 +369,120 @@ class TestCli:
         with pytest.raises(SystemExit, match="--kernel has no effect"):
             main(["count", cnf_path, "--algorithm", "exact",
                   "--kernel", DEFAULT_KERNEL])
+
+
+NEEDS_COMPILER = pytest.mark.skipif(
+    not kernel_info("native").available,
+    reason=kernel_info("native").unavailable_reason)
+
+
+class TestNativeBuild:
+    """The ``native`` kernel's compile-on-first-use cache."""
+
+    @pytest.fixture
+    def cache_home(self, tmp_path, monkeypatch):
+        home = tmp_path / "cache-home"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        return home
+
+    @NEEDS_COMPILER
+    def test_hashing_never_compiles(self, cache_home):
+        kernel = native.NativeKernel()
+        values = np.array([0, 1, 12], dtype=np.uint64)
+        assert kernel.trail_zeros_batch(values, 8).tolist() == [8, 0, 2]
+        assert not cache_home.exists()
+
+    @NEEDS_COMPILER
+    def test_cold_compiles_race_to_one_library(self, cache_home):
+        # Both children import first, then start together; each compiles
+        # to its own temporary name and os.replace publishes one file.
+        start = time.time() + 2.0
+        script = (
+            "import time\n"
+            "from repro.kernels import native\n"
+            f"time.sleep(max(0.0, {start!r} - time.time()))\n"
+            "native.load_propagate()\n"
+            "print(native.library_path())\n")
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            native.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        children = [subprocess.Popen([sys.executable, "-c", script],
+                                     env=env, stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE, text=True)
+                    for _ in range(2)]
+        outputs = [child.communicate(timeout=120) for child in children]
+        assert [child.returncode for child in children] == [0, 0], outputs
+        paths = {out.strip() for out, _err in outputs}
+        assert len(paths) == 1
+        (path,) = paths
+        assert os.listdir(os.path.dirname(path)) == \
+            [os.path.basename(path)]
+        assert path.startswith(str(cache_home))
+        assert os.stat(os.path.dirname(path)).st_mode & 0o777 == 0o700
+
+    @NEEDS_COMPILER
+    @pytest.mark.parametrize("how", ["path is a file", "not writable"])
+    def test_unwritable_cache_falls_back_to_private_dir(
+            self, cache_home, tmp_path, monkeypatch, how):
+        usual = native.cache_dir()
+        if how == "path is a file":
+            cache_home.write_text("")
+        else:
+            real_access = os.access
+            monkeypatch.setattr(
+                os, "access",
+                lambda p, mode: False if str(p) == usual
+                else real_access(p, mode))
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.setattr(native, "_PRIVATE_DIR", None)
+        path = native.library_path()
+        private = os.path.dirname(path)
+        assert private == native._PRIVATE_DIR
+        assert os.path.dirname(private) == str(scratch)
+        assert os.stat(private).st_mode & 0o777 == 0o700
+        assert ctypes.CDLL(path).propagate is not None
+
+    @NEEDS_COMPILER
+    @pytest.mark.parametrize("foreign", ["file", "directory"])
+    def test_cache_owned_by_someone_else_is_refused(self, cache_home,
+                                                    monkeypatch, foreign):
+        path = native.library_path()
+        target = path if foreign == "file" else os.path.dirname(path)
+        real_owner = native._owner
+        monkeypatch.setattr(
+            native, "_owner",
+            lambda p: os.geteuid() + 1 if p == target else real_owner(p))
+        with pytest.raises(native.NativeKernelError,
+                           match="not by the current user"):
+            native.library_path()
+
+    @NEEDS_COMPILER
+    def test_failing_compile_raises_with_compiler_stderr(
+            self, cache_home, tmp_path, monkeypatch):
+        broken = tmp_path / "broken.c"
+        broken.write_text("int propagate(void) { return }\n")
+        monkeypatch.setattr(native, "SOURCE", str(broken))
+        with pytest.raises(native.NativeKernelError) as exc:
+            native.library_path()
+        assert "error" in exc.value.stderr
+        assert exc.value.stderr in str(exc.value)
+        assert os.listdir(native.cache_dir()) == []  # No temp left.
+
+    def test_no_compiler_means_unavailable_and_python_default(
+            self, monkeypatch):
+        monkeypatch.setattr(KERNELS, "entries", dict(KERNELS.entries))
+        monkeypatch.setattr(KERNELS, "default", KERNELS.default)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        register_native_kernel()
+        info = kernel_info("native")
+        assert not info.available
+        assert info.unavailable_reason == native.NO_COMPILER
+        assert "no C compiler" in info.unavailable_reason
+        assert resolve_kernel_name(None) == "python"
+        assert kernel_names()[0] == "python"
+        with pytest.raises(InvalidParameterError, match="no C compiler"):
+            get_kernel("native")

@@ -490,6 +490,8 @@ class TestExecutorRegistry:
 
     def test_releases_gil_capability_flags(self):
         assert not kernel_info("python").releases_gil
+        # The C loop drops the GIL, but the solver around it does not.
+        assert not kernel_info("native").releases_gil
         assert kernel_info("numba").releases_gil
         if os.environ.get("REQUIRE_NUMBA"):
             assert kernel_info("numba").available, \

@@ -14,7 +14,7 @@ import argparse
 import pytest
 
 from repro.common.errors import InvalidParameterError
-from repro.kernels import KERNELS
+from repro.kernels import DEFAULT_KERNEL, KERNELS
 from repro.parallel import EXECUTORS
 from repro.sat.backends import BACKENDS
 from repro.service.frontends import FRONTENDS
@@ -142,7 +142,7 @@ class TestDeclarations:
         assert [(r.kind, r.default, r.env_var)
                 for r in REGISTRIES.values()] == [
             ("oracle backend", "cdcl", None),
-            ("kernel", "python", "REPRO_KERNEL"),
+            ("kernel", DEFAULT_KERNEL, "REPRO_KERNEL"),
             ("executor", "auto", "REPRO_EXECUTOR"),
             ("front end", "threading", "REPRO_FRONTEND"),
         ]

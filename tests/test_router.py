@@ -9,6 +9,7 @@ the front ends merely transport.
 import json
 import random
 import struct
+import time
 
 import pytest
 
@@ -236,6 +237,28 @@ class TestRouterErrors:
         assert router.handle("GET", "/v1/sketches").json_body() == \
             {"sketches": []}
 
+    @pytest.mark.parametrize("bits", [65, 512])
+    def test_universe_over_cap_refused_quickly(self, router, bits):
+        # GF2n(512) alone took 42 s; the cap answers before any field
+        # is built, on create and on an uploaded frame alike.
+        start = time.perf_counter()
+        reply = router.handle("POST", "/v1/sketches", jbody(dict(
+            CREATE, name="wide", kind="estimation", universe_bits=bits)))
+        assert reply.status == 400
+        assert "MAX_UNIVERSE_BITS" in reply.json_body()["error"]
+        assert router.handle("GET", "/v1/sketches").json_body() == \
+            {"sketches": []}
+        frame = bytearray(dumps(build_sketch("estimation", 24, SMALL,
+                                             seed=bits)))
+        sites = [i for i in range(len(frame) - 3)
+                 if frame[i:i + 4] == struct.pack("<I", 24)]
+        site = random.Random(bits).choice(sites[1:])  # A field width.
+        frame[site:site + 4] = struct.pack("<I", bits)
+        reply = router.handle("PUT", "/v1/sketches/wide", bytes(frame))
+        assert reply.status == 400
+        assert "MAX_UNIVERSE_BITS" in reply.json_body()["error"]
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.parametrize("key,body", [
         ("windw", b'{"name":"a","kind":"minimum","universe_bits":24,'
                   b'"windw":8}'),
@@ -331,6 +354,33 @@ class TestRouterErrors:
         assert reply.status == 400
         assert "different hashes" in reply.json_body()["error"]
         assert router.handle("GET", "/v1/sketches/a/blob").payload == before
+
+    @pytest.mark.parametrize("kind", ["minimum", "bucketing", "estimation"])
+    def test_refused_merge_changes_nothing(self, router, kind):
+        # Every row but the last matches the stored sketch's seeds, so a
+        # row-by-row merge would fold the earlier rows in before refusing.
+        make_created(router, "a", kind=kind)
+        router.handle("POST", "/v1/sketches/a/ingest",
+                      jbody({"items": stream(14, 120, seed=4)}))
+        stored = router.store.get("a")
+        rows_before = dumps(stored)
+        frame_before = router.handle("GET", "/v1/sketches/a/blob").payload
+        estimate_before = router.handle(
+            "GET", "/v1/sketches/a/estimate").json_body()["estimate"]
+        shard = build_sketch(kind, 14, SMALL, seed=CREATE["seed"])
+        shard.process_batch(stream(14, 300, seed=6))
+        foreign = build_sketch(kind, 14, SMALL, seed=99)
+        hash_attr = "hashes" if kind == "estimation" else "h"
+        setattr(shard.rows[-1], hash_attr,
+                getattr(foreign.rows[-1], hash_attr))
+        reply = router.handle("POST", "/v1/sketches/a/merge", dumps(shard))
+        assert reply.status == 400
+        assert "different hashes" in reply.json_body()["error"]
+        assert dumps(router.store.get("a")) == rows_before
+        assert router.handle("GET", "/v1/sketches/a/blob").payload \
+            == frame_before
+        assert router.handle("GET", "/v1/sketches/a/estimate") \
+            .json_body()["estimate"] == estimate_before
 
     def test_snapshot_without_path_400(self, router):
         assert router.handle("POST", "/v1/snapshot").status == 400

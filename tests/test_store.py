@@ -11,6 +11,7 @@ import os
 import random
 import struct
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,27 @@ class TestFormatErrors:
                 except StoreFormatError:
                     continue
                 sketch.estimate()
+
+    def test_widened_field_refused_quickly(self):
+        """One-bit flips that widen a k-wise field (24 to 536 bits and
+        more) are refused at MAX_UNIVERSE_BITS, not decoded through a
+        GF(2^n) modulus search that took 42 s at 512 bits."""
+        blob = dumps(make_sketch("estimation", 24))
+        sites = [i for i in range(len(blob) - 3)
+                 if blob[i:i + 4] == struct.pack("<I", 24)]
+        rng = random.Random(3)
+        refused = 0
+        start = time.perf_counter()
+        for site in rng.sample(sites, 8):
+            flipped = bytearray(blob)
+            flipped[site + 1] ^= 1 << rng.randrange(1, 8)  # +2^9..2^15.
+            try:
+                loads(bytes(flipped))
+            except StoreFormatError as exc:
+                assert "MAX_UNIVERSE_BITS" in str(exc)
+                refused += 1
+        assert refused >= 7  # Every site but the sketch's universe_bits.
+        assert time.perf_counter() - start < 5.0
 
     def test_inflated_fm_levels_rejected(self):
         """A frame whose trail-zero levels exceed the hash range must

@@ -127,6 +127,16 @@ class TestMergeAlgebra:
         with pytest.raises(InvalidParameterError):
             _windowed().merge(_minimum())
 
+    def test_foreign_seed_merge_changes_nothing(self):
+        a = _windowed(seed=5)
+        a.process_batch(list(range(40)))
+        b = _windowed(seed=6)
+        b.advance(20.0)           # Would rotate a's whole ring away.
+        before = dumps(a)
+        with pytest.raises(ValueError, match="different hashes"):
+            a.merge(b)
+        assert dumps(a) == before
+
     def test_merge_aligns_rotated_rings(self):
         a = WindowedF0(ExactF0(), window=4.0, buckets=4)
         b = WindowedF0(ExactF0(), window=4.0, buckets=4)
