@@ -1,14 +1,15 @@
 """E29 -- Compute-kernel throughput: python, native and numba on the hot loops.
 
-The kernel registry (:mod:`repro.kernels`) makes the CDCL propagation
-loop and the batched GF(2) hashing loops pluggable.  This benchmark runs
-the same three workloads under every *available* kernel, selected the
-one way a kernel is chosen -- process-wide, with :func:`set_default_kernel`:
+The kernel registry (:mod:`repro.kernels`) makes the CDCL search and the
+batched GF(2) hashing loops pluggable.  This benchmark runs the same
+three workloads under every *available* kernel, selected the one way a
+kernel is chosen -- process-wide, with :func:`set_default_kernel`:
 
 * **propagation** -- repeated assumption solves against one incremental
-  solver over a large random 3-CNF: almost all of the work is the
-  two-watched-literal / watched-XOR loop, so this isolates the kernel
-  itself (conflict analysis and branching stay python on every kernel).
+  solver over a satisfiable random 3-CNF near the threshold: each solve
+  runs real search (propagation, conflicts, learning, restarts, DB
+  reductions), all of it inside the kernel's one ``search`` call, so
+  this isolates the kernel itself.
 * **approxmc** -- E25's counting workload end-to-end (random 3-CNF
   n=26, galloping level search): the realistic mix of kernel loop and
   python-side search machinery.
@@ -17,10 +18,10 @@ one way a kernel is chosen -- process-wide, with :func:`set_default_kernel`:
   side of the registry.
 
 Results are asserted **bit-identical across kernels** (estimates,
-sketches, propagation counts -- the registry's parity contract; the
+sketches, search counters -- the registry's parity contract; the
 ``python`` kernel is the reference), and per-workload speedups land in
 ``BENCH_E29.json``, one row per available kernel: ``native`` (the C
-propagation loop, wherever a C compiler is on ``PATH``) is recorded
+search, wherever a C compiler is on ``PATH``) is recorded
 next to ``numba`` so the two compiled loops can be compared.  The >= 3x
 gate on the propagation workload is enforced only when numba is
 importable; on a bare container the run still verifies parity and
@@ -42,11 +43,15 @@ from repro.streaming.streams import iter_shuffled_stream_with_f0
 
 SPEEDUP_TARGET = 3.0  # numba over python, on the propagation workload.
 
-# Propagation microbench: one incremental solver, many assumption solves.
+# Search microbench: one incremental solver, many assumption solves.  The
+# formula (seed 17, clause/variable ratio 4.0) is satisfiable, and four
+# random assumption literals leave about half the solves satisfiable:
+# the rounds make about 8000 conflicts and 30 restarts in all.
+PROP_SEED = 17
 PROP_VARS = 120
-PROP_CLAUSES = 500
+PROP_CLAUSES = 480
 PROP_ROUNDS = 120
-PROP_ASSUMPTIONS = 12
+PROP_ASSUMPTIONS = 4
 
 # E25's counting workload (tight eps/delta: thresh=307, 13 repetitions).
 COUNT_PARAMS = SketchParams(eps=0.28, delta=0.08,
@@ -66,9 +71,12 @@ AVAILABLE = sorted((n for n in kernel_names() if kernel_info(n).available),
 
 
 def _bench_propagation():
-    formula = random_k_cnf(random.Random(17), PROP_VARS, PROP_CLAUSES, k=3)
+    formula = random_k_cnf(random.Random(PROP_SEED), PROP_VARS, PROP_CLAUSES,
+                           k=3)
     solver = CdclSolver.from_cnf(formula)
-    solver.solve()  # Warm-up: pays numba's JIT or native's first build.
+    # Warm-up: pays numba's JIT or native's first build.
+    assert solver.solve(), "the search workload's formula must be satisfiable"
+    before = solver.stats
     t0 = time.perf_counter()
     verdicts = []
     for seed in range(PROP_ROUNDS):
@@ -78,10 +86,14 @@ def _bench_propagation():
                                          PROP_ASSUMPTIONS)]
         verdicts.append(solver.solve(assumptions))
     elapsed = time.perf_counter() - t0
-    # The fingerprint pins verdicts AND the propagation count: a kernel
+    stats = solver.stats
+    assert stats.conflicts > before.conflicts, "the rounds must search"
+    assert stats.restarts > before.restarts, "the rounds must restart"
+    # The fingerprint pins verdicts AND the search counters: a kernel
     # that raced through a different search tree cannot sneak by on
     # wall-clock alone.
-    return elapsed, (tuple(verdicts), solver.stats.propagations)
+    return elapsed, (tuple(verdicts), stats.propagations, stats.decisions,
+                     stats.conflicts)
 
 
 def _bench_approxmc():

@@ -2,8 +2,8 @@
 
 Importing this package registers the built-in kernels:
 
-* ``native`` -- CDCL propagation compiled from C on first use, hashing
-  as ``python`` (:mod:`repro.kernels.native`); marked *unavailable*
+* ``native`` -- the whole CDCL search compiled from C on first use,
+  hashing as ``python`` (:mod:`repro.kernels.native`); marked *unavailable*
   when no C compiler is on ``PATH``.
 * ``python`` -- always available; the factored-out pure-python/numpy
   paths (:mod:`repro.kernels.python`).
@@ -70,13 +70,13 @@ def register_native_kernel() -> Entry:
     now, and make it the registry default exactly when it is available.
 
     Only the compiler lookup runs here; the compile waits for the first
-    ``propagate`` call.
+    ``propagate`` or ``search`` call.
     """
     available = _native.find_compiler() is not None
     entry = register_kernel(
         "native", _make_native,
-        description=("cdcl_loops.propagate in C, compiled on first use "
-                     "(hashing as python)"),
+        description=("the CDCL search (cdcl_loops) in C, compiled on "
+                     "first use (hashing as python)"),
         available=available,
         unavailable_reason="" if available else _native.NO_COMPILER,
         replace=True)

@@ -1,20 +1,22 @@
-"""The ``native`` kernel: CDCL propagation compiled from C on first use.
+"""The ``native`` kernel: the CDCL search compiled from C on first use.
 
-:mod:`repro.kernels.cdcl_loops` stays the single source of the
-propagation semantics; ``cdcl_loops.c`` next to it is a line-for-line C
-translation (same variables, same statement order, same ``RESIZE_*``
-park-and-return protocol, same return codes), and the parity suite in
-``tests/test_kernels.py`` holds the compiled loop to the python one.
-The batched hashing ops are the ``python`` kernel's numpy paths,
-inherited unchanged.
+:mod:`repro.kernels.cdcl_loops` stays the single source of the search
+semantics; ``cdcl_loops.c`` next to it is a line-for-line C translation
+of every function there -- ``propagate`` and the whole ``search`` around
+it (same variables, same statement order, same ``RESIZE_*``
+park-and-return protocol, same return codes) -- and the parity suite in
+``tests/test_kernels.py`` holds the compiled search to the python one,
+``SolverStats`` counter by counter.  One ctypes call runs a whole
+``solve`` or ``resume_after_block``.  The batched hashing ops are the
+``python`` kernel's numpy paths, inherited unchanged.
 
 Building is lazy and cached:
 
 * nothing compiles at import or in :func:`~repro.kernels.get_kernel`
   (the serving and streaming paths resolve the kernel for hashing and
   must never pay for a compile); the first :meth:`NativeKernel.propagate`
-  call in a process loads the library, compiling it if the cache lacks
-  it;
+  or :meth:`NativeKernel.search` call in a process loads the library,
+  compiling it if the cache lacks it;
 * the library is one file per user, named by :func:`cache_key` (a
   sha256 of the C source, :data:`CFLAGS` and ``platform.machine()``),
   in :func:`cache_dir` (``$XDG_CACHE_HOME/repro/native``, else
@@ -30,12 +32,12 @@ Building is lazy and cached:
   compiler's stderr; there is no silent fallback (``REPRO_KERNEL=python``
   is the way out).
 
-The loop is called through :mod:`ctypes` with one argument, the
-state's cached pointer array (:meth:`SolverState.prop_args_native`), and
-``ctypes.CDLL`` drops the GIL for the call.  The registry still
-declares ``releases_gil=False``: the rest of a count (the solver's
-python side) holds it, so threads would not overlap (DESIGN.md,
-"Free-threaded repetitions").
+Both functions are called through :mod:`ctypes` with one argument, the
+state's cached pointer array (:meth:`SolverState.args_native`), and
+``ctypes.CDLL`` drops the GIL for the call, so a count holds the GIL
+only for its python glue (oracle, hashing, cell search).  The registry
+still declares ``releases_gil=False``, from measurement: see DESIGN.md,
+"Free-threaded repetitions".
 """
 
 from __future__ import annotations
@@ -49,16 +51,18 @@ import tempfile
 from typing import Optional
 
 from repro.common.errors import ReproError
-from repro.kernels.cdcl_loops import RESIZE_WATCH, RESIZE_XWATCH
+from repro.kernels.cdcl_loops import R_SPHASE
 from repro.kernels.python import PythonKernel
 
-#: The C translation of :func:`repro.kernels.cdcl_loops.propagate`.
+#: The C translation of :mod:`repro.kernels.cdcl_loops`.
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "cdcl_loops.c")
 
 #: Compiler flags; part of the cache key.  No ``-march=native``: a cached
 #: library must run on every host of the same machine type.
-CFLAGS = ("-O2", "-shared", "-fPIC")
+#: ``-ffp-contract=off``: no fused multiply-add anywhere, so the activity
+#: arithmetic rounds exactly as python's floats do.
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 #: Compiler names looked up on ``PATH``, in order.
 COMPILERS = ("cc", "gcc", "clang")
@@ -173,43 +177,53 @@ def library_path() -> str:
     return path
 
 
-def load_propagate():
-    """The compiled ``propagate`` as a ctypes function.
+def load_library():
+    """The compiled library, with ``propagate`` and ``search`` typed.
 
     Threads racing a first call may each build and load; ``os.replace``
     keeps the file whole and the loader maps one library.
     """
     import ctypes
-    fn = ctypes.CDLL(library_path()).propagate
-    fn.restype = ctypes.c_int64
-    fn.argtypes = (ctypes.c_void_p,)
-    return fn
+    lib = ctypes.CDLL(library_path())
+    for fn in (lib.propagate, lib.search):
+        fn.restype = ctypes.c_int64
+        fn.argtypes = (ctypes.c_void_p,)
+    return lib
 
 
 class NativeKernel(PythonKernel):
-    """C propagation; the ``python`` kernel's hashing ops."""
+    """C search; the ``python`` kernel's hashing ops."""
 
     name = "native"
 
-    #: The C loop drops the GIL, but the solver around it holds it for
-    #: most of a count, so ``auto`` keeps choosing processes.
+    #: The C search drops the GIL, but threads lost to processes on
+    #: counting and on ingestion when measured, so ``auto`` keeps
+    #: choosing processes (DESIGN.md, "Free-threaded repetitions").
     releases_gil = False
 
     def __init__(self) -> None:
-        self._propagate = None
+        self._lib = None
+
+    def _library(self):
+        if self._lib is None:
+            self._lib = load_library()
+        return self._lib
 
     def propagate(self, state) -> int:
         """Run propagation to fixpoint on ``state``; grows arenas on
         ``RESIZE_*`` and re-enters, same as the ``python`` kernel."""
-        fn = self._propagate
-        if fn is None:
-            fn = self._propagate = load_propagate()
+        fn = self._library().propagate
         while True:
-            code = fn(state.prop_args_native())
-            if code == RESIZE_WATCH:
-                state.grow_watch_pool()
-                continue
-            if code == RESIZE_XWATCH:
-                state.grow_xwatch_pool()
-                continue
-            return code
+            code = fn(state.args_native())
+            if not state.grow_for(code):
+                return code
+
+    def search(self, state, mode: int) -> int:
+        """Run one search entry point in C; same protocol as the
+        ``python`` kernel's :meth:`~repro.kernels.python.PythonKernel.search`."""
+        fn = self._library().search
+        state.regs[R_SPHASE] = mode
+        while True:
+            code = fn(state.args_native())
+            if not state.grow_for(code):
+                return code

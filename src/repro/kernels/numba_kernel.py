@@ -26,14 +26,39 @@ code under both kernels.
 
 from __future__ import annotations
 
+import types
+
 import numpy as _np
 
 from repro.kernels import batch_loops, cdcl_loops
-from repro.kernels.cdcl_loops import RESIZE_WATCH, RESIZE_XWATCH
+from repro.kernels.cdcl_loops import R_SPHASE
+from repro.kernels.state import NUM_PROP_ARGS
+
+
+def _jit_cdcl_loops(jit) -> dict:
+    """Every function of :mod:`repro.kernels.cdcl_loops`, compiled.
+
+    Each is rebuilt over one shared globals namespace in which the
+    module's function names are bound to their compiled twins, so the
+    compiled ``search`` calls compiled ``propagate``, ``analyze`` and the
+    rest (numba resolves a callee through the caller's globals, and a
+    plain python function there would not compile).
+    """
+    namespace = dict(vars(cdcl_loops))
+    for name, obj in vars(cdcl_loops).items():
+        if isinstance(obj, types.FunctionType) \
+                and obj.__module__ == cdcl_loops.__name__:
+            clone = types.FunctionType(obj.__code__, namespace, name,
+                                       obj.__defaults__, obj.__closure__)
+            clone.__qualname__ = obj.__qualname__
+            clone.__module__ = obj.__module__
+            namespace[name] = jit(clone)
+    return namespace
 
 
 class NumbaKernel:
-    """njit-compiled implementations of both hot loops."""
+    """njit-compiled implementations of the CDCL search and the batched
+    hash loops."""
 
     name = "numba"
 
@@ -45,7 +70,9 @@ class NumbaKernel:
         import numba
 
         jit = numba.njit(cache=True, fastmath=False, nogil=True)
-        self._propagate = jit(cdcl_loops.propagate)
+        compiled = _jit_cdcl_loops(jit)
+        self._propagate = compiled["propagate"]
+        self._search = compiled["search"]
         self._gf2_eval_poly = jit(batch_loops.gf2_eval_poly)
         self._trail_zeros = jit(batch_loops.trail_zeros)
         self._bit_length = jit(batch_loops.bit_length)
@@ -57,14 +84,18 @@ class NumbaKernel:
         the compiled loop directly); grows arenas on ``RESIZE_*`` and
         re-enters, same as the ``python`` kernel."""
         while True:
-            code = int(self._propagate(*state.prop_args_np()))
-            if code == RESIZE_WATCH:
-                state.grow_watch_pool()
-                continue
-            if code == RESIZE_XWATCH:
-                state.grow_xwatch_pool()
-                continue
-            return code
+            code = int(self._propagate(*state.args_np()[:NUM_PROP_ARGS]))
+            if not state.grow_for(code):
+                return code
+
+    def search(self, state, mode: int) -> int:
+        """Run one compiled search entry point; same protocol as the
+        ``python`` kernel's :meth:`~repro.kernels.python.PythonKernel.search`."""
+        state.regs[R_SPHASE] = mode
+        while True:
+            code = int(self._search(*state.args_np()))
+            if not state.grow_for(code):
+                return code
 
     # -- batched hashing -------------------------------------------------
 

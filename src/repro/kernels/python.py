@@ -1,10 +1,11 @@
 """The ``python`` kernel: the zero-dependency default implementation.
 
-CDCL propagation runs the shared loop source
-(:func:`repro.kernels.cdcl_loops.propagate`) on zero-copy memoryviews
-over the :class:`~repro.kernels.state.SolverState` arrays -- element
-access yields plain python ints, which the interpreter handles ~1.5x
-faster than numpy scalar indexing and without int32 wraparound
+The CDCL search runs the shared loop sources
+(:func:`repro.kernels.cdcl_loops.propagate` and
+:func:`repro.kernels.cdcl_loops.search`) on zero-copy memoryviews over
+the :class:`~repro.kernels.state.SolverState` arrays -- element access
+yields plain python ints and floats, which the interpreter handles
+~1.5x faster than numpy scalar indexing and without int32 wraparound
 surprises.  The batched hashing ops are vectorised numpy paths: the
 GF(2^n) Horner sweep of :class:`repro.gf2.gf2n.GF2n` and the SWAR
 trail-zeros / bit-length tricks over uint64 lanes, bit-identical to the
@@ -19,7 +20,8 @@ from __future__ import annotations
 import numpy as _np
 
 from repro.kernels import cdcl_loops
-from repro.kernels.cdcl_loops import RESIZE_WATCH, RESIZE_XWATCH
+from repro.kernels.cdcl_loops import R_SPHASE
+from repro.kernels.state import NUM_PROP_ARGS
 
 
 def _popcount_u64(a):
@@ -32,7 +34,8 @@ def _popcount_u64(a):
 
 
 class PythonKernel:
-    """Pure-python/numpy implementations of both hot loops."""
+    """Pure-python/numpy implementations of the CDCL search and the
+    batched hash loops."""
 
     name = "python"
 
@@ -48,14 +51,20 @@ class PythonKernel:
         ``RESIZE_*`` sentinels by growing the exhausted arena and
         re-entering -- invisible to the caller."""
         while True:
-            code = cdcl_loops.propagate(*state.prop_args_mv())
-            if code == RESIZE_WATCH:
-                state.grow_watch_pool()
-                continue
-            if code == RESIZE_XWATCH:
-                state.grow_xwatch_pool()
-                continue
-            return code
+            code = cdcl_loops.propagate(
+                *state.args_mv()[:NUM_PROP_ARGS])
+            if not state.grow_for(code):
+                return code
+
+    def search(self, state, mode: int) -> int:
+        """Run one search entry point (``SEARCH_*`` ``mode``) on
+        ``state``: 1 with a model assigned, else 0.  ``RESIZE_*`` returns
+        grow the named pool and re-enter, as in :meth:`propagate`."""
+        state.regs[R_SPHASE] = mode
+        while True:
+            code = cdcl_loops.search(*state.args_mv())
+            if not state.grow_for(code):
+                return code
 
     # -- batched hashing -------------------------------------------------
 

@@ -15,6 +15,13 @@ clears it afterwards.  The reference is always the ``python`` kernel,
 which runs :mod:`repro.kernels.cdcl_loops` itself: that module is the
 specification the ``native`` C translation is held to.
 
+Beyond models and calls, every ``SolverStats`` counter (decisions,
+conflicts, restarts, propagations, learnt and deleted clauses, DB
+reductions) must match field by field: the whole search runs inside the
+kernel, so the counters are the cheapest witness that two kernels took
+the same search tree, including the rare paths (learnt-DB reduction,
+activity rescaling, pool growth in the middle of a search).
+
 The ``numba`` kernel is a soft dependency: its cross-kernel cases are
 skipped when it is not importable.  The CI job that installs it exports
 ``REQUIRE_NUMBA=1`` so a silently missing registration fails loudly
@@ -23,6 +30,7 @@ there (mirroring ``REQUIRE_PYSAT`` for the solver backends).
 
 import contextlib
 import ctypes
+import dataclasses
 import os
 import pickle
 import random
@@ -62,6 +70,14 @@ from repro.kernels import (
 )
 from repro.kernels import batch_loops, native
 from repro.kernels import state as kstate
+from repro.kernels.cdcl_loops import (
+    F_VAR_DECAY,
+    F_VAR_INC,
+    R_NUM_LEARNTS,
+    RESIZE_CLAUSES,
+    RESIZE_LITS,
+    RESIZE_WATCH,
+)
 from repro.sat.backends import create_solver
 from repro.sat.bruteforce import brute_force_models
 from repro.sat.oracle import NpOracle
@@ -130,6 +146,42 @@ def _enumerate(formula, xors, kernel):
     return models, oracle.calls
 
 
+def _trace(formula, xors, kernel, assumptions=()):
+    """Drive one solver through both enumeration styles and return every
+    model, its decision literals, the final ``SolverStats`` fields and
+    the surviving learnt clauses (which DB reductions chose to keep).
+
+    First ``resume_after_block`` continuation under ``assumptions``, then
+    fresh solves without assumptions, each model excluded by an added
+    blocking clause."""
+    steps = []
+    with using_kernel(kernel):
+        solver = CdclSolver.from_cnf(formula, xors)
+        sat = solver.solve(assumptions)
+        while sat:
+            steps.append((solver.model_int(),
+                          tuple(solver.decision_literals())))
+            sat = solver.resume_after_block()
+        sat = solver.solve()
+        while sat:
+            decisions = solver.decision_literals()
+            steps.append((solver.model_int(), tuple(decisions)))
+            solver.add_clause([-d for d in decisions])
+            sat = solver.solve()
+    state = solver._state
+    learnts = state.learnts[:state.regs[R_NUM_LEARNTS]].tolist()
+    return steps, dataclasses.asdict(solver.stats), learnts
+
+
+def _hard_instance():
+    """Random 3-CNF with two parity rows and 67 models: enough conflicts
+    for learning, restarts and DB reductions to matter."""
+    formula = random_k_cnf(random.Random(1), 20, 70, k=3)
+    xors = (XorConstraint(0b100010011001011011, 0),
+            XorConstraint(0b11110100101111101010, 1))
+    return formula, xors
+
+
 class TestSolverParity:
     """The solver must not merely agree across kernels -- the *sequence*
     of models and the call count must be identical (golden pins depend
@@ -141,6 +193,15 @@ class TestSolverParity:
         reference = _enumerate(formula, xors, REFERENCE)
         assert _enumerate(formula, xors, kernel) == reference
         assert sorted(reference[0]) == brute_force_models(formula, xors)
+
+    @pytest.mark.parametrize("kernel,name,formula,xors", CASES)
+    def test_search_trace_and_stats_match_reference_kernel(
+            self, kernel, name, formula, xors):
+        assumptions = [1] if formula.num_vars else []
+        reference = _trace(formula, xors, REFERENCE, assumptions)
+        assert _trace(formula, xors, kernel, assumptions) == reference
+        models = sorted(model for model, _ in reference[0])
+        assert models == brute_force_models(formula, xors)
 
     @pytest.mark.parametrize("kernel", AVAILABLE)
     def test_solver_records_resolved_kernel_name(self, kernel):
@@ -159,8 +220,68 @@ class TestSolverParity:
         formula, xors = instance
         reference = _enumerate(formula, xors, REFERENCE)
         assert sorted(reference[0]) == brute_force_models(formula, xors)
+        trace = _trace(formula, xors, REFERENCE, [-formula.num_vars])
         for kernel in AVAILABLE:
             assert _enumerate(formula, xors, kernel) == reference
+            assert _trace(formula, xors, kernel,
+                          [-formula.num_vars]) == trace
+
+
+class TestSearchPaths:
+    """The rare search paths, forced, under every kernel: each run must
+    match the reference field by field, and must have taken the path."""
+
+    @pytest.mark.parametrize("kernel", AVAILABLE)
+    @pytest.mark.parametrize("clause_decay", [0.999, 1.0])
+    def test_forced_db_reductions(self, kernel, clause_decay, monkeypatch):
+        # Without decay every unbumped learnt clause has activity 1.0:
+        # the reduction's stable sort alone decides which of them go.
+        monkeypatch.setattr(CdclSolver, "CLAUSE_DECAY", clause_decay)
+        monkeypatch.setattr(CdclSolver, "LEARNT_BASE", 8)
+        monkeypatch.setattr(CdclSolver, "LEARNT_GROWTH", 1.05)
+        formula, xors = _hard_instance()
+        reference = _trace(formula, xors, REFERENCE, [2, -5])
+        assert reference[1]["db_reductions"] > 0
+        assert reference[1]["deleted_clauses"] > 0
+        assert _trace(formula, xors, kernel, [2, -5]) == reference
+        models = sorted(model for model, _ in reference[0])
+        assert models == brute_force_models(formula, xors)
+
+    @pytest.mark.parametrize("kernel", AVAILABLE)
+    def test_forced_activity_rescale(self, kernel, monkeypatch):
+        # 3 is not a power of two, so a rescale rounds activities.
+        monkeypatch.setattr(CdclSolver, "ACTIVITY_RESCALE", 3.0)
+        formula, xors = _hard_instance()
+        reference = _trace(formula, xors, REFERENCE)
+        assert _trace(formula, xors, kernel) == reference
+        with using_kernel(kernel):
+            solver = CdclSolver.from_cnf(formula, xors)
+            while solver.solve():
+                solver.add_clause([-d for d in solver.decision_literals()])
+        # Without a rescale the bump would be exactly 1 / decay^conflicts.
+        unscaled = 1.0
+        for _ in range(solver.stats.conflicts):
+            unscaled /= solver._state.fregs[F_VAR_DECAY]
+        assert solver._state.fregs[F_VAR_INC] < unscaled
+
+    @pytest.mark.parametrize("kernel", AVAILABLE)
+    def test_long_resume_enumeration_under_assumptions(self, kernel):
+        formula = random_k_cnf(random.Random(4), 14, 24, k=3)
+        xors = (XorConstraint(0b10110011100101, 1),)
+        # A repeated and an implied-looking assumption exercise the dummy
+        # decision levels the blocking step deduplicates.
+        assumptions = [3, -7, 3, 12]
+        reference = _trace(formula, xors, REFERENCE, assumptions)
+        assert _trace(formula, xors, kernel, assumptions) == reference
+        # The resumed enumeration comes first and is exactly the models
+        # that satisfy the assumptions; blocking-clause solves find the
+        # rest.
+        under = [m for m in brute_force_models(formula, xors)
+                 if m & 0b100 and not m & 0b1000000 and m & (1 << 11)]
+        assert len(under) > 40
+        models = [model for model, _ in reference[0]]
+        assert sorted(models[:len(under)]) == under
+        assert sorted(models) == brute_force_models(formula, xors)
 
 
 class TestForcedPoolResizes:
@@ -170,7 +291,7 @@ class TestForcedPoolResizes:
     TINY = {"INITIAL_VARS": 2, "INITIAL_CLAUSES": 1,
             "INITIAL_CLAUSE_LITS": 2, "INITIAL_WATCH_POOL": 2,
             "INITIAL_XOR_ROWS": 1, "INITIAL_XOR_VARS": 2,
-            "INITIAL_XWATCH_POOL": 2}
+            "INITIAL_XWATCH_POOL": 2, "INITIAL_ASSUMPTIONS": 1}
 
     @pytest.mark.parametrize("kernel", AVAILABLE)
     def test_results_independent_of_initial_capacity(self, kernel,
@@ -181,6 +302,34 @@ class TestForcedPoolResizes:
             monkeypatch.setattr(kstate, attr, value)
         for (_name, formula, xors), baseline in zip(CORPUS, baselines):
             assert _enumerate(formula, xors, kernel) == baseline
+
+    @pytest.mark.parametrize("kernel", AVAILABLE)
+    def test_pools_exhausted_mid_search(self, kernel, monkeypatch):
+        monkeypatch.setattr(CdclSolver, "LEARNT_BASE", 8)
+        monkeypatch.setattr(CdclSolver, "RESTART_BASE", 2)
+        formula, xors = _hard_instance()
+        reference = _trace(formula, xors, REFERENCE, [2, -5, 2])
+        assert reference[1]["restarts"] > 0
+        for attr, value in self.TINY.items():
+            monkeypatch.setattr(kstate, attr, value)
+        # Clause pools exactly as large as the formula: the first learnt
+        # or blocking clause of the search finds them full.
+        monkeypatch.setattr(kstate, "INITIAL_CLAUSES",
+                            len(formula.clauses))
+        monkeypatch.setattr(kstate, "INITIAL_CLAUSE_LITS",
+                            sum(len(c) for c in formula.clauses))
+        codes = []
+        grow_for = kstate.SolverState.grow_for
+
+        def recording_grow_for(state, code):
+            codes.append(code)
+            return grow_for(state, code)
+
+        monkeypatch.setattr(kstate.SolverState, "grow_for",
+                            recording_grow_for)
+        assert _trace(formula, xors, kernel, [2, -5, 2]) == reference
+        # Learnt clauses outgrew every clause pool inside the search.
+        assert {RESIZE_CLAUSES, RESIZE_LITS, RESIZE_WATCH} <= set(codes)
 
 
 class TestHashingParity:
@@ -401,7 +550,7 @@ class TestNativeBuild:
             "import time\n"
             "from repro.kernels import native\n"
             f"time.sleep(max(0.0, {start!r} - time.time()))\n"
-            "native.load_propagate()\n"
+            "native.load_library()\n"
             "print(native.library_path())\n")
         src = os.path.dirname(os.path.dirname(os.path.dirname(
             native.__file__)))

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from repro.formulas.cnf import CnfFormula
 from repro.formulas.generators import planted_k_cnf, random_k_cnf
 from repro.formulas.xor_constraint import XorConstraint
+from repro.kernels.cdcl_loops import luby
 from repro.sat.bruteforce import brute_force_models
 from repro.sat.encode_xor import xor_to_cnf_clauses
-from repro.sat.solver import CdclSolver, _luby
+from repro.sat.solver import CdclSolver
 
 
 @st.composite
@@ -41,7 +42,7 @@ def cnf_xor_instance(draw):
 
 class TestLuby:
     def test_prefix(self):
-        assert [_luby(i) for i in range(1, 16)] == \
+        assert [luby(i) for i in range(1, 16)] == \
             [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
 
 
