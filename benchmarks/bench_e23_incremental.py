@@ -16,7 +16,9 @@ Two configurations, identical sketches by construction:
 * ``engine`` -- the incremental engine, the only CNF cell search
   ``cell_search_for`` builds.
 
-Reported per instance and strategy: wall-clock, NP-oracle calls, and
+Both run ApproxMC's level search as ``approx_mc`` does: repetition 0
+from level 0, every later repetition from one level above repetition
+0's crossing.  Reported per instance: wall-clock, NP-oracle calls, and
 probes/sec.  The headline claim: the engine is >= 3x faster than the
 seed baseline on CNF level search, with identical estimates.
 """
@@ -25,7 +27,7 @@ import random
 import time
 
 from benchmarks.harness import BENCH_PARAMS, emit, format_table
-from repro.core.approxmc import _STRATEGIES, approx_mc
+from repro.core.approxmc import approx_mc, find_level
 from repro.core.cell_search import CellSearch, cell_search_for
 from repro.formulas.generators import fixed_count_cnf, random_k_cnf
 from repro.formulas.xor_constraint import XorConstraint
@@ -60,10 +62,9 @@ class SeedCellSearch(CellSearch):
         raise NotImplementedError("benchmark baseline counts only")
 
 
-def _run(formula, hashes, strategy, mode):
+def _run(formula, hashes, mode):
     """One full ApproxMC level search; returns (sketches, seconds, calls,
     probes)."""
-    find_level = _STRATEGIES[strategy]
     oracle = NpOracle(formula)
     start = time.perf_counter()
     sketches = []
@@ -74,7 +75,9 @@ def _run(formula, hashes, strategy, mode):
         else:
             cells = cell_search_for(formula, h, BENCH_PARAMS.thresh,
                                     oracle=oracle)
-        sketches.append(find_level(cells))
+        # Repetition 0 starts at level 0; the rest next to its crossing.
+        level_start = max(sketches[0][1] - 1, 0) if sketches else 0
+        sketches.append(find_level(cells, level_start))
         probes += len(cells.request_log)
     elapsed = time.perf_counter() - start
     return sketches, elapsed, oracle.calls, probes
@@ -93,22 +96,17 @@ def run_comparison():
         family = ToeplitzHashFamily(n, n)
         hashes = [family.sample(random.Random(100 + i))
                   for i in range(BENCH_PARAMS.repetitions)]
-        for strategy in ("linear", "binary", "galloping"):
-            seed_sk, seed_t, seed_calls, seed_probes = _run(
-                formula, hashes, strategy, "seed")
-            eng_sk, eng_t, eng_calls, eng_probes = _run(
-                formula, hashes, strategy, "engine")
-            assert seed_sk == eng_sk, (
-                f"sketches diverged on {name}/{strategy}")
-            assert eng_calls <= seed_calls, (
-                f"engine must not charge more NP calls ({name}/{strategy})")
-            speedup = seed_t / eng_t
-            speedups.append((name, strategy, speedup))
-            rows.append((f"{name}/{strategy}",
-                         seed_t, eng_t,
-                         seed_calls, eng_calls,
-                         seed_probes / seed_t, eng_probes / eng_t,
-                         speedup))
+        seed_sk, seed_t, seed_calls, seed_probes = _run(
+            formula, hashes, "seed")
+        eng_sk, eng_t, eng_calls, eng_probes = _run(
+            formula, hashes, "engine")
+        assert seed_sk == eng_sk, f"sketches diverged on {name}"
+        assert eng_calls <= seed_calls, (
+            f"engine must not charge more NP calls ({name})")
+        speedup = seed_t / eng_t
+        speedups.append((name, speedup))
+        rows.append((name, seed_t, eng_t, seed_calls, eng_calls,
+                     seed_probes / seed_t, eng_probes / eng_t, speedup))
     return rows, speedups
 
 
@@ -117,7 +115,7 @@ def test_e23_incremental_engine(benchmark, capsys):
     table = format_table(
         "E23  Incremental cell-search engine vs fresh-solver BoundedSAT "
         "(identical sketches)",
-        ["instance/strategy", "seed s", "engine s",
+        ["instance", "seed s", "engine s",
          "seed calls", "engine calls", "seed probes/s", "engine probes/s",
          "speedup"],
         rows,
@@ -129,19 +127,13 @@ def test_e23_incremental_engine(benchmark, capsys):
               "search.")
     emit(capsys, "e23_incremental", table)
 
-    by_strategy = {}
-    for _name, strategy, speedup in speedups:
-        by_strategy.setdefault(strategy, []).append(speedup)
-    for strategy, values in by_strategy.items():
-        mean = sum(values) / len(values)
-        assert mean > 1.5, f"{strategy}: engine should win ({mean:.2f}x)"
-    overall = sum(s for _, _, s in speedups) / len(speedups)
+    overall = sum(s for _, s in speedups) / len(speedups)
     assert overall >= 2.0, (
         f"engine should win clearly overall, got {overall:.2f}x")
     # Headline acceptance: >= 3x on the random 3-CNF instances (the
     # realistic regime; the fixed-count instances are XOR-dominated and
     # bound by parity reasoning, not by solver rebuilds).
-    headline = [s for name, _, s in speedups if name.startswith("rand")]
+    headline = [s for name, s in speedups if name.startswith("rand")]
     headline_mean = sum(headline) / len(headline)
     assert headline_mean >= 3.0, (
         f"engine must be >= 3x over the seed baseline on CNF level "
@@ -152,4 +144,4 @@ def test_e23_incremental_engine(benchmark, capsys):
     hashes = [family.sample(random.Random(100 + i))
               for i in range(BENCH_PARAMS.repetitions)]
     benchmark(lambda: approx_mc(formula, BENCH_PARAMS, random.Random(7),
-                                search="galloping", hashes=hashes))
+                                hashes=hashes))

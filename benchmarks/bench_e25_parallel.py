@@ -88,7 +88,7 @@ def _approxmc_sweep():
     for workers in WORKER_SWEEP:
         t0 = time.perf_counter()
         result = approx_mc(formula, COUNT_PARAMS, random.Random(11),
-                           search="galloping", workers=workers)
+                           workers=workers)
         elapsed = time.perf_counter() - t0
         key = (result.estimate, tuple(result.iteration_sketches))
         if reference is None:
@@ -115,7 +115,7 @@ def test_e25_parallel_scaling(capsys):
          for w, t, r, s, e in ingest_rows],
     )
     table += "\n\n" + format_table(
-        "E25  ApproxMC repetition scaling (random 3-CNF n=26, galloping; "
+        "E25  ApproxMC repetition scaling (random 3-CNF n=26; "
         "identical sketches)",
         ["workers", "seconds", "speedup", "estimate", "oracle calls"],
         [(w, f"{t:.2f}", f"{s:.2f}x", f"{e:.0f}", c)
@@ -150,7 +150,6 @@ def test_e25_parallel_scaling(capsys):
         },
         "approxmc_repetitions": {
             "formula": "random_k_cnf(n=26, clauses=100, k=3)",
-            "search": "galloping",
             "repetitions": COUNT_PARAMS.repetitions,
             "estimate": count_ref[0],
             "seconds_by_workers": {str(w): t

@@ -6,8 +6,9 @@ Two questions about the repetition-engine refactor:
    dispatched by :class:`repro.core.engine.RepetitionEngine` instead of
    hand-rolled loops.  On the E23/E25 level-search workload (random
    3-CNF ApproxMC with pre-sampled hashes), the engine path must stay
-   within +-5% wall-clock of the PR 3 code -- reproduced below verbatim
-   as ``_pr3_approx_mc_loop`` (shared oracle, inline level search) -- with
+   within +-5% wall-clock of the pre-engine loop -- reproduced below as
+   ``_pre_engine_loop`` (shared oracle, inline level search, started
+   from repetition 0's level, as the engine does) -- with
    bit-identical sketches.
 2. **Backend comparison.**  The same level search run over every
    registered oracle backend (``cdcl``, ``bruteforce``, ``pysat`` when
@@ -23,7 +24,7 @@ import statistics
 import time
 
 from benchmarks.harness import BENCH_PARAMS, emit, emit_json, format_table
-from repro.core.approxmc import _STRATEGIES, approx_mc
+from repro.core.approxmc import approx_mc, find_level
 from repro.core.cell_search import cell_search_for
 from repro.formulas.generators import fixed_count_cnf, random_k_cnf
 from repro.hashing.toeplitz import ToeplitzHashFamily
@@ -36,25 +37,25 @@ OVERHEAD_TOLERANCE = 0.05
 TIMING_ROUNDS = 5
 
 
-def _pr3_approx_mc_loop(formula, hashes, thresh, search):
-    """The pre-engine serial repetition loop, kept runnable verbatim for
-    this comparison: one shared oracle, inline cell search + level
-    search, hand-packed sketches (what ``approx_mc`` did before the
-    unified engine)."""
+def _pre_engine_loop(formula, hashes, thresh):
+    """The pre-engine serial repetition loop, kept runnable for this
+    comparison: one shared oracle, inline cell search + level search,
+    hand-packed sketches (what ``approx_mc`` did before the unified
+    engine), with the engine's start hint: repetition 0 searches from
+    level 0, the rest from one level above its crossing."""
     oracle = NpOracle(formula)
-    find_level = _STRATEGIES[search]
     results = []
     for h in hashes:
         cells = cell_search_for(formula, h, thresh, oracle=oracle)
-        count, level = find_level(cells)
+        start = max(results[0][1] - 1, 0) if results else 0
+        count, level = find_level(cells, start)
         results.append((count, level))
     raw = [count * float(1 << level) for count, level in results]
     return results, raw, oracle.calls
 
 
-def _engine_run(formula, hashes, params, search):
-    result = approx_mc(formula, params, random.Random(0), search=search,
-                       hashes=hashes)
+def _engine_run(formula, hashes, params):
+    result = approx_mc(formula, params, random.Random(0), hashes=hashes)
     return (list(result.iteration_sketches), result.raw_estimates,
             result.oracle_calls)
 
@@ -79,34 +80,32 @@ def run_overhead_comparison():
     records = []
     for name, formula in _level_search_workload():
         hashes = _hashes_for(formula)
-        for search in ("galloping", "binary"):
-            pr3_times, engine_times = [], []
-            # Interleave the arms so drift hits both equally; keep the
-            # median round per arm.
-            for _round in range(TIMING_ROUNDS):
-                start = time.perf_counter()
-                pr3_sketches, pr3_raw, pr3_calls = _pr3_approx_mc_loop(
-                    formula, hashes, BENCH_PARAMS.thresh, search)
-                pr3_times.append(time.perf_counter() - start)
+        loop_times, engine_times = [], []
+        # Interleave the arms so drift hits both equally; keep the
+        # median round per arm.
+        for _round in range(TIMING_ROUNDS):
+            start = time.perf_counter()
+            loop_sketches, loop_raw, loop_calls = _pre_engine_loop(
+                formula, hashes, BENCH_PARAMS.thresh)
+            loop_times.append(time.perf_counter() - start)
 
-                start = time.perf_counter()
-                eng_sketches, eng_raw, eng_calls = _engine_run(
-                    formula, hashes, BENCH_PARAMS, search)
-                engine_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            eng_sketches, eng_raw, eng_calls = _engine_run(
+                formula, hashes, BENCH_PARAMS)
+            engine_times.append(time.perf_counter() - start)
 
-            assert eng_sketches == pr3_sketches, (
-                f"sketches diverged on {name}/{search}")
-            assert eng_raw == pr3_raw and eng_calls == pr3_calls, (
-                f"estimates/calls diverged on {name}/{search}")
-            pr3_t = statistics.median(pr3_times)
-            eng_t = statistics.median(engine_times)
-            ratio = eng_t / pr3_t
-            rows.append((f"{name}/{search}", pr3_t, eng_t, ratio))
-            records.append({"instance": name, "search": search,
-                            "pr3_seconds": pr3_t,
-                            "engine_seconds": eng_t,
-                            "engine_over_pr3": ratio,
-                            "oracle_calls": eng_calls})
+        assert eng_sketches == loop_sketches, f"sketches diverged on {name}"
+        assert eng_raw == loop_raw and eng_calls == loop_calls, (
+            f"estimates/calls diverged on {name}")
+        loop_t = statistics.median(loop_times)
+        eng_t = statistics.median(engine_times)
+        ratio = eng_t / loop_t
+        rows.append((name, loop_t, eng_t, ratio))
+        records.append({"instance": name,
+                        "loop_seconds": loop_t,
+                        "engine_seconds": eng_t,
+                        "engine_over_loop": ratio,
+                        "oracle_calls": eng_calls})
     return rows, records
 
 
@@ -121,8 +120,7 @@ def run_backend_comparison():
     for backend in backend_names():
         start = time.perf_counter()
         result = approx_mc(formula, BENCH_PARAMS, random.Random(0),
-                           search="galloping", hashes=hashes,
-                           backend=backend)
+                           hashes=hashes, backend=backend)
         elapsed = time.perf_counter() - start
         sketches = list(result.iteration_sketches)
         if reference is None:
@@ -142,10 +140,10 @@ def test_e26_engine_and_backends(benchmark, capsys):
     backend_rows, backend_records = run_backend_comparison()
 
     table = format_table(
-        "E26  Repetition-engine overhead vs PR 3 loop "
+        "E26  Repetition-engine overhead vs the pre-engine loop "
         "(identical sketches; ratio gate 1 +- "
         f"{OVERHEAD_TOLERANCE:.0%})",
-        ["instance/search", "pr3 s", "engine s", "engine/pr3"],
+        ["instance", "loop s", "engine s", "engine/loop"],
         overhead_rows)
     table += "\n\n" + format_table(
         "E26  Level search by oracle backend (identical sketches)",
@@ -174,4 +172,4 @@ def test_e26_engine_and_backends(benchmark, capsys):
     formula = fixed_count_cnf(16, 14)
     hashes = _hashes_for(formula)
     benchmark(lambda: approx_mc(formula, BENCH_PARAMS, random.Random(7),
-                                search="galloping", hashes=hashes))
+                                hashes=hashes))

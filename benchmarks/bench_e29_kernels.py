@@ -11,7 +11,7 @@ kernel is chosen -- process-wide, with :func:`set_default_kernel`:
   reductions), all of it inside the kernel's one ``search`` call, so
   this isolates the kernel itself.
 * **approxmc** -- E25's counting workload end-to-end (random 3-CNF
-  n=26, galloping level search): the realistic mix of kernel loop and
+  n=26): the realistic mix of kernel loop and
   python-side search machinery.
 * **ingestion** -- E24's batch F0 ingestion (MinimumF0 multi-word
   affine hashing + EstimationF0 GF(2^n) Horner sweeps): the hashing
@@ -99,8 +99,7 @@ def _bench_propagation():
 def _bench_approxmc():
     formula = random_k_cnf(random.Random(5), 26, 100, 3)
     t0 = time.perf_counter()
-    result = approx_mc(formula, COUNT_PARAMS, random.Random(11),
-                       search="galloping")
+    result = approx_mc(formula, COUNT_PARAMS, random.Random(11))
     elapsed = time.perf_counter() - t0
     return elapsed, (result.estimate, tuple(result.iteration_sketches),
                      result.oracle_calls)

@@ -5,17 +5,17 @@ level ``m`` at which the cell ``Sol(phi and h_m(x) = 0^m)`` holds fewer
 than ``Thresh`` solutions, and estimate ``|cell| * 2^m``.  Output the
 median over ``t = 35 log(1/delta)`` repetitions.
 
-Three level-search strategies are provided (benchmark E8's ablation):
-
-* ``"linear"`` -- Algorithm 5 verbatim, ``O(n)`` BoundedSAT calls/rep;
-* ``"binary"`` -- the ApproxMC2 refinement the paper's Section 3.2
-  describes: since ``|cell(m)|`` is non-increasing in ``m`` for prefix
-  slices of a single hash, the threshold crossing is unique and binary
-  search finds the *same* level in ``O(log n)`` BoundedSAT calls;
-* ``"galloping"`` -- doubling search then binary refinement, the variant
-  that wins when the final level is small.
-
-All strategies produce identical sketches for the same hash functions.
+One level search serves every repetition (:func:`find_level`).  Since
+``|cell(m)|`` is non-increasing in ``m`` for prefix slices of a single
+hash, the threshold crossing is unique, so the search may start at any
+level and walk up or down to it.  Repetition 0 starts at level 0 --
+Algorithm 5 verbatim, ``O(n)`` BoundedSAT calls -- and every later
+repetition starts one level above repetition 0's answer, the
+leapfrogging of ApproxMC2 (Chakraborty, Meel and Vardi, IJCAI 2016):
+most repetitions cross within a level of each other, so they pay a
+couple of probes instead of a climb from 0.  The sketches are those of
+Algorithm 5 run from level 0 every time; only the oracle-call count
+differs.
 
 Probes go through :class:`repro.core.cell_search.CellSearch`: per-level
 counts are memoised within a repetition (no level is ever paid for twice,
@@ -26,17 +26,17 @@ over a fresh solver per probe).
 
 The repetition loop itself lives in :class:`repro.core.engine.
 RepetitionEngine`; this module contributes only the
-:class:`BucketingStrategy` (hash family, level search, sketch-to-estimate
-rule), and :func:`approx_mc` stays as the thin public wrapper.  ``backend``
+:class:`BucketingStrategy` (hash family, level search, the start hint
+repetition 0 hands the rest, sketch-to-estimate rule), and
+:func:`approx_mc` stays as the thin public wrapper.  ``backend``
 selects the NP-oracle solver from :mod:`repro.sat.backends`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Literal, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.common.errors import InvalidParameterError
 from repro.common.rng import RandomSource
 from repro.core.cell_search import CellSearch, cell_search_for
 from repro.core.engine import (
@@ -54,74 +54,26 @@ from repro.sat.oracle import NpOracle
 from repro.streaming.base import SketchParams
 
 Formula = Union[CnfFormula, DnfFormula]
-SearchStrategy = Literal["linear", "binary", "galloping"]
 
 
-def _find_level_linear(cells: CellSearch) -> tuple[int, int]:
-    """Algorithm 5's loop: raise m until the cell is small."""
-    n = cells.out_bits
-    m = 0
-    count = cells.cell_count(0)
-    while count >= cells.thresh and m < n:
-        m += 1
-        count = cells.cell_count(m)
+def find_level(cells: CellSearch, start: int = 0) -> Tuple[int, int]:
+    """The threshold crossing ``(count, m)``: the smallest level ``m``
+    whose cell holds fewer than ``thresh`` models (``n`` if none does).
+
+    Probes ``start`` first, then walks up while the cell is full, or down
+    while the next shallower cell is still below ``thresh``.  Cell counts
+    are monotone in the level, so every ``start`` finds the same level;
+    ``start = 0`` is Algorithm 5's loop.
+    """
+    m, count = start, cells.cell_count(start)
+    if count >= cells.thresh:
+        while count >= cells.thresh and m < cells.out_bits:
+            m += 1
+            count = cells.cell_count(m)
+    else:
+        while m > 0 and (above := cells.cell_count(m - 1)) < cells.thresh:
+            m, count = m - 1, above
     return count, m
-
-
-def _find_level_binary(cells: CellSearch) -> tuple[int, int]:
-    """Binary search for the unique threshold crossing."""
-    n = cells.out_bits
-    count0 = cells.cell_count(0)
-    if count0 < cells.thresh:
-        return count0, 0
-    lo, hi = 0, n  # Invariant: count(lo) >= thresh; answer in (lo, hi].
-    count_hi = cells.thresh  # Placeholder until hi is actually probed.
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        count_mid = cells.cell_count(mid)
-        if count_mid >= cells.thresh:
-            lo = mid
-        else:
-            hi, count_hi = mid, count_mid
-    if hi == n and count_hi >= cells.thresh:
-        count_hi = cells.cell_count(n)  # hi was never probed (count(n) case).
-    return count_hi, hi
-
-
-def _find_level_galloping(cells: CellSearch) -> tuple[int, int]:
-    """Doubling probe then binary refinement."""
-    n = cells.out_bits
-    count0 = cells.cell_count(0)
-    if count0 < cells.thresh:
-        return count0, 0
-    step = 1
-    lo = 0
-    while True:
-        probe = min(lo + step, n)
-        count_probe = cells.cell_count(probe)
-        if count_probe >= cells.thresh:
-            lo = probe
-            if probe == n:
-                return count_probe, n
-            step *= 2
-        else:
-            hi, count_hi = probe, count_probe
-            break
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        count_mid = cells.cell_count(mid)
-        if count_mid >= cells.thresh:
-            lo = mid
-        else:
-            hi, count_hi = mid, count_mid
-    return count_hi, hi
-
-
-_STRATEGIES = {
-    "linear": _find_level_linear,
-    "binary": _find_level_binary,
-    "galloping": _find_level_galloping,
-}
 
 
 @dataclass
@@ -132,16 +84,13 @@ class BucketingStrategy(CounterStrategy):
     formula: Formula
     thresh: int
     repetitions: int
-    search: SearchStrategy = "linear"
     backend: Optional[str] = None
     #: Caller-supplied hash functions (the sketch-equivalence experiment
     #: feeds the same functions to the streaming side); ``None`` samples.
     hashes: Optional[Sequence[LinearHash]] = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.search not in _STRATEGIES:
-            raise InvalidParameterError(
-                f"unknown search strategy {self.search!r}")
+    #: Level each repetition's search probes first: 0 for repetition 0,
+    #: then whatever :meth:`seed_rest` derives from its sketch.
+    start: int = 0
 
     def sample_hashes(self, rng: RandomSource) -> List[LinearHash]:
         n = self.formula.num_vars
@@ -152,8 +101,14 @@ class BucketingStrategy(CounterStrategy):
         oracle = (NpOracle(self.formula, backend=self.backend)
                   if isinstance(self.formula, CnfFormula) else None)
         cells = cell_search_for(self.formula, h, self.thresh, oracle=oracle)
-        count, level = _STRATEGIES[self.search](cells)
+        count, level = find_level(cells, self.start)
         return (count, level), oracle.calls if oracle is not None else 0
+
+    def seed_rest(self, first_sketch: Tuple[int, int]) -> "BucketingStrategy":
+        """Start later searches one level above repetition 0's crossing,
+        so a repetition that crosses at the same level pays two probes."""
+        _count, level = first_sketch
+        return replace(self, start=max(level - 1, 0))
 
     def aggregate(self, tasks, sketches, oracle_calls) -> ApproxCountResult:
         raw = [count * float(1 << level) for count, level in sketches]
@@ -165,7 +120,6 @@ def approx_mc(
     formula: Formula,
     params: SketchParams,
     rng: RandomSource,
-    search: SearchStrategy = "linear",
     hashes: Optional[Sequence[LinearHash]] = None,
     workers: int = 1,
     executor: Optional[Executor] = None,
@@ -184,9 +138,6 @@ def approx_mc(
             and ``params.repetitions`` the median width.
         rng: source for hash sampling (all randomness drawn here, in
             the parent, before any dispatch).
-        search: level-search strategy -- ``"linear"`` (Algorithm 5
-            verbatim), ``"binary"``, or ``"galloping"``; all three
-            produce identical sketches.
         hashes: pre-sampled hash functions overriding the family draw
             (the sketch-equivalence experiments feed the streaming
             side's functions here).
@@ -210,7 +161,6 @@ def approx_mc(
     """
     strategy = BucketingStrategy(
         formula=formula, thresh=params.thresh,
-        repetitions=params.repetitions, search=search,
-        backend=backend, hashes=hashes)
+        repetitions=params.repetitions, backend=backend, hashes=hashes)
     return RepetitionEngine(strategy).run(rng, workers=workers,
                                           executor=executor)

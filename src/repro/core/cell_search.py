@@ -13,9 +13,9 @@ engineering described in DESIGN.md, "Incremental cell search"):
 * **One persistent solver per repetition.**  The engine opens a single
   :class:`repro.sat.oracle.OracleSession`, attaches the hash output
   variables once (``y_r == h(x)_r``), and selects the probe level purely
-  via assumptions (``y_0 = t_0, ..., y_{m-1} = t_{m-1}``).  Linear,
-  binary and galloping search all share that one solver, along with every
-  clause it has learned.
+  via assumptions (``y_0 = t_0, ..., y_{m-1} = t_{m-1}``).  Every probe
+  of the level search, upward or downward, shares that one solver, along
+  with every clause it has learned.
 * **A model cache across levels.**  Each enumerated solution is stored
   with its *match level* (the length of the longest prefix of ``h(x)``
   agreeing with the target), so a model found at level ``m`` seeds the

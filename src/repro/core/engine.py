@@ -12,20 +12,21 @@ Now the recipe itself is the first-class object:
 
 * :class:`CounterStrategy` is what varies between algorithms -- how a
   repetition's hash material is drawn (``sample_hashes``), what one
-  repetition computes (``run_repetition``), and how sketches become a
-  result (``aggregate``).
+  repetition computes (``run_repetition``), what repetition 0's sketch
+  tells the rest (``seed_rest``), and how sketches become a result
+  (``aggregate``).
 * :class:`RepetitionEngine` is what never varies -- it draws all hash
   material in the parent in serial order (the determinism discipline of
   :mod:`repro.parallel.executor`; :func:`repro.parallel.executor.
   split_seeds` is the hook for strategies that need per-repetition
-  generators instead of pre-drawn hashes), dispatches repetitions
-  inline, over a thread pool, or over a process pool (the backend a
-  bare ``workers=k`` resolves to is the executor registry's decision:
-  ``--executor`` / ``REPRO_EXECUTOR`` / auto -- see
-  :mod:`repro.parallel.registry`), ships the strategy once per worker
-  as the shared payload, sums the per-repetition oracle-call counts,
-  and hands the ordered sketches to ``aggregate`` (which typically
-  finishes with
+  generators instead of pre-drawn hashes), runs repetition 0 inline,
+  dispatches the rest inline, over a thread pool, or over a process
+  pool (the backend a bare ``workers=k`` resolves to is the executor
+  registry's decision: ``--executor`` / ``REPRO_EXECUTOR`` / auto --
+  see :mod:`repro.parallel.registry`), ships the strategy
+  ``seed_rest`` returns once per worker as the shared payload, sums the
+  per-repetition oracle-call counts, and hands the ordered sketches to
+  ``aggregate`` (which typically finishes with
   :meth:`repro.core.results.ApproxCountResult.from_repetitions`).
 
 Determinism contract
@@ -33,7 +34,8 @@ Determinism contract
 
 For a fixed RNG seed the engine produces bit-identical estimates,
 per-repetition sketches and oracle-call totals at any worker count, and
-identically to the pre-engine per-counter loops:
+identically to the pre-engine per-counter loops (except ApproxMC's
+oracle calls, which its ``seed_rest`` start hint lowers):
 
 * ``sample_hashes`` runs in the parent, before any dispatch, consuming
   the RNG exactly as the old serial loops did;
@@ -44,6 +46,11 @@ identically to the pre-engine per-counter loops:
   ``NpOracle``, whose call counter is simply additive).  Self-containment
   is also what makes thread dispatch safe: concurrent repetitions touch
   the shared strategy read-only;
+* the only information passed between repetitions is repetition 0's
+  sketch, through ``seed_rest``: repetition 0 always runs first, inline
+  in the parent, so the strategy every later repetition sees is the same
+  at any worker count (a hint from "whichever repetition finished first"
+  would not be);
 * results are gathered in task order, so the median sees the same
   sequence regardless of scheduling.
 
@@ -70,7 +77,7 @@ class CounterStrategy(abc.ABC):
 
     Implementations are plain picklable records of the run's parameters
     (formula, thresholds, repetition count, oracle backend name).  The
-    engine calls the three hooks in order; nothing else about the
+    engine calls the hooks in order; nothing else about the
     algorithm is visible to it.
     """
 
@@ -93,6 +100,16 @@ class CounterStrategy(abc.ABC):
         dispatch) or in a pool worker (parallel dispatch) -- the result
         must not depend on which.
         """
+
+    def seed_rest(self, first_sketch: Tuple) -> "CounterStrategy":
+        """The strategy repetitions ``1..t-1`` run under, given
+        repetition 0's sketch (the shared payload of the fan-out).
+
+        A hint that changes what the rest *cost*, never what they
+        compute: ApproxMC starts its level search next to repetition 0's
+        level.  The default passes ``self`` unchanged.
+        """
+        return self
 
     @abc.abstractmethod
     def aggregate(self, tasks: Sequence[Any], sketches: Sequence[Tuple],
@@ -135,7 +152,8 @@ class RepetitionEngine:
 
     def run(self, rng: RandomSource, workers: int = 1,
             executor: Optional[Executor] = None):
-        """Sample, dispatch, account, aggregate.
+        """Sample, run repetition 0, dispatch the rest, account,
+        aggregate.
 
         Args:
             rng: the only randomness source; consumed entirely in the
@@ -162,10 +180,9 @@ class RepetitionEngine:
         strategy = self.strategy
         tasks = strategy.sample_hashes(rng)
         with executor_for(workers, executor) as ex:
-            if ex.is_serial:
-                outcomes = [strategy.run_repetition(task) for task in tasks]
-            else:
-                outcomes = ex.map(_run_repetition, tasks, shared=strategy)
+            outcomes = [strategy.run_repetition(task) for task in tasks[:1]]
+            rest = strategy.seed_rest(outcomes[0][0]) if outcomes else strategy
+            outcomes += ex.map(_run_repetition, tasks[1:], shared=rest)
         sketches = [sketch for sketch, _ in outcomes]
         oracle_calls = sum(calls for _, calls in outcomes)
         return strategy.aggregate(tasks, sketches, oracle_calls)

@@ -16,13 +16,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List
 
+import numpy as _np
+
 from repro.common.errors import InvalidParameterError
 from repro.kernels import get_kernel
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 def poly_degree(f: int) -> int:
@@ -200,13 +197,13 @@ class GF2n:
     def _batchable(self) -> bool:
         """Whether the vectorised field path applies.  The shift-and-reduce
         step needs ``a << 1`` to fit in a uint64, hence ``n <= 63``."""
-        return _np is not None and self.n <= 63
+        return self.n <= 63
 
     def eval_poly_batch(self, coeffs: List[int], xs) -> "object":
         """Vectorised :meth:`eval_poly` over a numpy array of points --
         the batched s-wise hash evaluation, dispatched to the selected
         compute kernel (:mod:`repro.kernels`).  Falls back to the scalar
-        Horner loop without numpy or for ``n > 63``."""
+        Horner loop for ``n > 63``."""
         if not self._batchable():
             return [self.eval_poly(coeffs, int(x)) for x in xs]
         xs = _np.asarray(xs, dtype=_np.uint64)

@@ -22,15 +22,12 @@ import abc
 import threading
 from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 
+import numpy as _np
+
 from repro.common.bitvec import trailing_zeros
 from repro.common.rng import RandomSource
 from repro.gf2.matrix import transpose
 from repro.kernels import get_kernel
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 #: Publication lock for the lazily built byte tables and column tables.
 #: Module level (not per instance): ``LinearHash`` is ``__slots__``-lean
@@ -245,7 +242,7 @@ class LinearHash:
 
     def _batchable(self) -> bool:
         """Whether the numpy table path applies (inputs fit uint64)."""
-        return _np is not None and self.in_bits <= 64
+        return self.in_bits <= 64
 
     def _gather(self, xs):
         """Hash a chunk through :meth:`_table`: ``(N, W)`` uint64 words,
@@ -266,7 +263,8 @@ class LinearHash:
 
         Requires ``out_bits <= 64`` (values are returned as uint64, row 0
         at the MSB of the ``out_bits``-wide value, same convention as the
-        scalar path).  Falls back to a python loop without numpy.
+        scalar path).  Falls back to a python loop for inputs wider than 64
+        bits.
         """
         if self.out_bits > 64:
             raise ValueError("values_batch requires out_bits <= 64")
@@ -279,8 +277,8 @@ class LinearHash:
         ``(N, W)`` uint64 array with ``W = ceil(out_bits / 64)`` words per
         value, **most significant word first**, so that lexicographic order
         on rows equals numeric order on values (the Minimum sketch's wide
-        3n-bit hashes flow through here).  Returns ``None`` when the numpy
-        path does not apply (caller falls back to scalar hashing).
+        3n-bit hashes flow through here).  Returns ``None`` for inputs wider
+        than 64 bits (caller falls back to scalar hashing).
         """
         if not self._batchable():
             return None

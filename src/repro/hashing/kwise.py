@@ -15,16 +15,13 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as _np
+
 from repro.common.bitvec import trailing_zeros
 from repro.common.rng import RandomSource
 from repro.gf2.gf2n import GF2n
 from repro.hashing.base import HashFamily
 from repro.kernels import get_kernel
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 class KWiseHash:
@@ -65,14 +62,13 @@ class KWiseHash:
 
     def values_batch(self, xs) -> "object":
         """Vectorised :meth:`value`: one GF(2^n) Horner sweep over a numpy
-        array of points (falls back to the scalar loop without numpy or
-        for ``n > 63``)."""
+        array of points (falls back to the scalar loop for ``n > 63``)."""
         return self.field.eval_poly_batch(self.coeffs, xs)
 
     def trail_zeros_batch(self, xs) -> "object":
         """Vectorised :meth:`trail_zeros` over a chunk of stream items."""
         values = self.values_batch(xs)
-        if _np is None or not isinstance(values, _np.ndarray):
+        if not isinstance(values, _np.ndarray):
             return [trailing_zeros(v, self.out_bits) for v in values]
         return get_kernel().trail_zeros_batch(
             values, self.out_bits)

@@ -22,12 +22,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.parallel.executor import Executor
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+from repro.parallel.executor import Executor
 
 #: Chunks buffered per sketch per dispatch wave.  At the default chunk
 #: size (4096 items) a 4-way scatter buffers ~8 MB of uint64 per wave --
@@ -42,7 +39,7 @@ def _compact(chunk: Sequence[int]) -> Sequence[int]:
     pickling a 4096-item buffer is ~an order of magnitude cheaper than a
     4096-element int list, and the batch paths accept either.  Chunks
     holding ints beyond int64 (wide universes) pass through unchanged."""
-    if _np is None or isinstance(chunk, _np.ndarray):
+    if isinstance(chunk, _np.ndarray):
         return chunk
     try:
         arr = _np.asarray(chunk)

@@ -18,16 +18,13 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.common.rng import RandomSource
 from repro.common.stats import median
 from repro.hashing.base import LinearHash
 from repro.hashing.toeplitz import ToeplitzHashFamily
 from repro.streaming.base import SketchParams, merge_rows
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 class BucketingRow:
@@ -174,7 +171,7 @@ class BucketingF0:
         vectorised pass (see ``LinearHash.cell_levels_batch``)."""
         if len(xs) == 0:
             return
-        if _np is not None and self.universe_bits <= 64:
+        if self.universe_bits <= 64:
             xs = _np.unique(_np.asarray(xs, dtype=_np.uint64))
         for row in self.rows:
             row.process_batch(xs)

@@ -19,16 +19,13 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
+import numpy as _np
+
 from repro.common.errors import InvalidParameterError
 from repro.common.rng import RandomSource
 from repro.common.stats import median
 from repro.hashing.kwise import KWiseHash, KWiseHashFamily
 from repro.streaming.base import SketchParams, VersionedCache, merge_rows
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 def independence_for_eps(eps: float) -> int:
@@ -137,7 +134,7 @@ class EstimationF0:
         elements."""
         if len(xs) == 0:
             return
-        if _np is not None and self.universe_bits <= 64:
+        if self.universe_bits <= 64:
             xs = _np.unique(_np.asarray(xs, dtype=_np.uint64))
         for row in self.rows:
             row.process_batch(xs)

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as _np
+
 from repro.common.rng import RandomSource
 from repro.common.stats import median
 from repro.hashing.xor import XorHashFamily
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 class FlajoletMartinF0:
@@ -45,7 +42,7 @@ class FlajoletMartinF0:
         repetition (deduped once up front)."""
         if len(xs) == 0:
             return
-        if _np is None or self.universe_bits > 64:
+        if self.universe_bits > 64:
             for x in xs:
                 self.process(int(x))
             return

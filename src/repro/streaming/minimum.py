@@ -28,16 +28,13 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, List, Sequence, Set
 
+import numpy as _np
+
 from repro.common.rng import RandomSource
 from repro.common.stats import median
 from repro.hashing.base import LinearHash, int_to_words
 from repro.hashing.toeplitz import ToeplitzHashFamily
 from repro.streaming.base import SketchParams, merge_rows
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 class MinimumRow:
@@ -66,7 +63,7 @@ class MinimumRow:
             return
         h = self.h
         words = h.values_batch_words(xs)
-        if words is None:  # No numpy, or inputs wider than 64 bits.
+        if words is None:  # Inputs wider than 64 bits.
             for x in xs:
                 self.process(int(x))
             return
@@ -177,7 +174,7 @@ class MinimumF0:
         every row hashes only the chunk's distinct elements."""
         if len(xs) == 0:
             return
-        if _np is not None and self.universe_bits <= 64:
+        if self.universe_bits <= 64:
             xs = _np.unique(_np.asarray(xs, dtype=_np.uint64))
         for row in self.rows:
             row.process_batch(xs)

@@ -2,9 +2,10 @@
 
 The engine must be *indistinguishable* from one-shot BoundedSAT probes
 (:func:`bounded_sat_cnf`) in everything except cost: identical counts,
-identical ApproxMC sketches across all three search strategies on CNF and
-DNF, oracle-call counts no worse than replaying the same probes one-shot,
-and strict probe discipline (level 0 exactly once per repetition)."""
+the brute-force threshold crossing from every level-search start on CNF
+and DNF, oracle-call counts no worse than replaying the same probes
+one-shot, and strict probe discipline (no level requested twice per
+repetition)."""
 
 import random
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import InvalidParameterError
-from repro.core.approxmc import _STRATEGIES, approx_mc
+from repro.core.approxmc import approx_mc, find_level
 from repro.core.bounded_sat import bounded_sat_cnf, bounded_sat_dnf
 from repro.core.cell_search import (
     CellSearchEngine,
@@ -23,7 +24,9 @@ from repro.core.cell_search import (
 )
 from repro.formulas.cnf import CnfFormula
 from repro.formulas.dnf import DnfFormula
-from repro.formulas.generators import fixed_count_cnf, random_k_cnf
+from repro.formulas.generators import (fixed_count_cnf, fixed_count_dnf,
+                                       random_k_cnf)
+from repro.hashing.base import LinearHash
 from repro.hashing.toeplitz import ToeplitzHashFamily
 from repro.sat.oracle import NpOracle
 from repro.streaming.base import SketchParams
@@ -120,8 +123,8 @@ class TestEngineCounts:
                 len(bounded_sat_dnf(dnf, h, m, 5))
 
 
-# Shared fixtures for the strategy-level comparisons: instances with a
-# deep threshold crossing (the regime the sub-linear strategies target).
+# Shared fixtures for the ApproxMC-level checks: an instance with a deep
+# threshold crossing (the regime where the start hint saves most).
 def _cnf_instance():
     return fixed_count_cnf(14, 12)
 
@@ -131,10 +134,67 @@ def _cnf_hashes(reps):
     return [family.sample(random.Random(500 + i)) for i in range(reps)]
 
 
-class TestStrategyEquivalence:
-    def test_incremental_matches_one_shot_all_strategies_cnf(self):
+def _crossing(formula, h, thresh):
+    """``(min(thresh, |cell(m)|), m)`` at the smallest level ``m`` whose
+    cell holds fewer than ``thresh`` models (``n`` if none does), by
+    enumerating every assignment."""
+    models = list(formula.solutions_bruteforce())
+    for m in range(h.out_bits + 1):
+        size = sum(1 for x in models if h.prefix_value(x, m) == 0)
+        if size < thresh:
+            return size, m
+    return thresh, h.out_bits
+
+
+def _toeplitz(n, seed):
+    return ToeplitzHashFamily(n, n).sample(random.Random(seed))
+
+
+# Offset 0 maps 0 to 0^6, so the all-true formula's level-n cell is
+# non-empty under it: full at thresh 1.
+_LINEAR = LinearHash(6, _toeplitz(6, 5).rows, [0] * 6)
+
+# (formula, hash, thresh): a mid-level crossing, fewer than thresh models
+# (crossing at level 0), and a level-n cell that is still full.
+FIND_LEVEL_CASES = {
+    "cnf-mid": (random_k_cnf(random.Random(3), 10, 20, k=3),
+                _toeplitz(10, 1), 8),
+    "cnf-level0": (fixed_count_cnf(8, 2), _toeplitz(8, 2), 8),
+    "cnf-full": (CnfFormula(6, []), _LINEAR, 1),
+    "dnf-mid": (DnfFormula(10, [[1, 2], [-3, 4, 5], [6, -7], [8]]),
+                _toeplitz(10, 3), 8),
+    "dnf-level0": (fixed_count_dnf(8, 2), _toeplitz(8, 4), 8),
+    "dnf-full": (DnfFormula(6, [[]]), _LINEAR, 1),
+}
+
+
+class TestFindLevel:
+    @pytest.mark.parametrize("case", sorted(FIND_LEVEL_CASES))
+    def test_every_start_finds_the_brute_force_crossing(self, case):
+        formula, h, thresh = FIND_LEVEL_CASES[case]
+        n = h.out_bits
+        expected = _crossing(formula, h, thresh)
+        if case.endswith("level0"):
+            assert expected[1] == 0
+        elif case.endswith("full"):
+            assert expected == (thresh, n)
+        calls = []
+        for start in range(n + 1):
+            oracle = (NpOracle(formula) if isinstance(formula, CnfFormula)
+                      else None)
+            cells = cell_search_for(formula, h, thresh, oracle)
+            assert find_level(cells, start) == expected, f"start {start}"
+            assert len(set(cells.request_log)) == len(cells.request_log), \
+                f"start {start} requested a level twice"
+            calls.append(oracle.calls if oracle is not None else 0)
+        # The start approx_mc hands later repetitions never costs more
+        # than Algorithm 5's climb from level 0.
+        assert calls[max(expected[1] - 1, 0)] <= calls[0]
+
+    def test_approx_mc_matches_one_shot_cnf(self):
         # Each repetition's (count, level) is what one-shot BoundedSAT
-        # reports at that level, and the level is the threshold crossing.
+        # reports at that level, and the level is the threshold crossing,
+        # although repetitions 1..t-1 start next to repetition 0's level.
         formula = _cnf_instance()
         hashes = _cnf_hashes(PARAMS.repetitions)
         thresh = PARAMS.thresh
@@ -142,77 +202,55 @@ class TestStrategyEquivalence:
         def one_shot(h, m):
             return len(bounded_sat_cnf(NpOracle(formula), h, m, thresh))
 
-        for strategy in ("linear", "binary", "galloping"):
-            result = approx_mc(formula, PARAMS, random.Random(3),
-                               search=strategy, hashes=hashes)
-            for (count, level), h in zip(result.iteration_sketches, hashes):
-                assert count == one_shot(h, level), strategy
-                assert count < thresh or level == h.out_bits, strategy
-                if level:
-                    assert one_shot(h, level - 1) >= thresh, strategy
-
-    def test_all_strategies_identical_sketches_cnf(self):
-        formula = _cnf_instance()
-        hashes = _cnf_hashes(PARAMS.repetitions)
-        sketches = [
-            approx_mc(formula, PARAMS, random.Random(4), search=s,
-                      hashes=hashes).iteration_sketches
-            for s in ("linear", "binary", "galloping")
-        ]
-        assert sketches[0] == sketches[1] == sketches[2]
-
-    def test_all_strategies_identical_sketches_dnf(self):
-        rng = random.Random(5)
-        formula = DnfFormula(12, [[1, 2], [-3, 4, 5], [6, -7], [8]])
-        family = ToeplitzHashFamily(12, 12)
-        hashes = [family.sample(rng) for _ in range(PARAMS.repetitions)]
-        sketches = [
-            approx_mc(formula, PARAMS, random.Random(6), search=s,
-                      hashes=hashes).iteration_sketches
-            for s in ("linear", "binary", "galloping")
-        ]
-        assert sketches[0] == sketches[1] == sketches[2]
+        result = approx_mc(formula, PARAMS, random.Random(3), hashes=hashes)
+        for (count, level), h in zip(result.iteration_sketches, hashes):
+            assert count == one_shot(h, level)
+            assert count < thresh or level == h.out_bits
+            if level:
+                assert one_shot(h, level - 1) >= thresh
 
 
 class TestOracleCallAccounting:
     def test_incremental_no_worse_than_one_shot(self):
         # Replay each repetition's distinct probes through one-shot
-        # BoundedSAT on a separate oracle: the engine never pays more.
+        # BoundedSAT on a separate oracle: the engine never pays more,
+        # whether the search walks up from level 0 or down from deep.
         formula = _cnf_instance()
-        for strategy, find_level in _STRATEGIES.items():
+        for start in (0, 7, 14):
             for h in _cnf_hashes(PARAMS.repetitions):
                 oracle = NpOracle(formula)
                 cells = cell_search_for(formula, h, PARAMS.thresh, oracle)
-                find_level(cells)
+                find_level(cells, start)
                 replay = NpOracle(formula)
                 for m in dict.fromkeys(cells.request_log):
                     bounded_sat_cnf(replay, h, m, PARAMS.thresh)
-                assert oracle.calls <= replay.calls, strategy
+                assert oracle.calls <= replay.calls, start
 
     def test_sublinear_strategies_beat_linear(self):
-        # Proposition 1 accounting: with memoised probes, binary and
-        # galloping must not exceed linear on the same hashes (deep
-        # crossing -- the regime they are designed for).
+        # Proposition 1 accounting: approx_mc starts repetitions 1..t-1
+        # one level above repetition 0's crossing; on a deep crossing
+        # that must cost fewer calls than Algorithm 5's linear climb from
+        # level 0 in every repetition, on the same hashes.
         formula = _cnf_instance()
         hashes = _cnf_hashes(PARAMS.repetitions)
-        calls = {
-            s: approx_mc(formula, PARAMS, random.Random(8), search=s,
-                         hashes=hashes).oracle_calls
-            for s in ("linear", "binary", "galloping")
-        }
-        assert calls["binary"] <= calls["linear"]
-        assert calls["galloping"] <= calls["linear"]
-        assert calls["binary"] < calls["linear"]  # Strict on deep crossing.
+        from_zero = 0
+        for h in hashes:
+            oracle = NpOracle(formula)
+            find_level(cell_search_for(formula, h, PARAMS.thresh, oracle))
+            from_zero += oracle.calls
+        seeded = approx_mc(formula, PARAMS, random.Random(8),
+                           hashes=hashes).oracle_calls
+        assert seeded < from_zero
 
     def test_level_zero_probed_exactly_once_per_repetition(self):
-        # Regression: binary search used to issue the level-0 probe twice.
+        # Regression: an earlier binary search issued the level-0 probe
+        # twice.
         formula = _cnf_instance()
         h = _cnf_hashes(1)[0]
-        oracle = NpOracle(formula)
-        for strategy, find_level in _STRATEGIES.items():
-            engine = CellSearchEngine(formula, h, PARAMS.thresh, oracle)
-            find_level(engine)
-            assert engine.request_log.count(0) == 1, strategy
+        engine = CellSearchEngine(formula, h, PARAMS.thresh,
+                                  NpOracle(formula))
+        find_level(engine)
+        assert engine.request_log.count(0) == 1
 
     def test_no_level_charged_twice_per_repetition(self):
         # Memoisation: within a repetition every level is *charged* at
@@ -220,13 +258,13 @@ class TestOracleCallAccounting:
         formula = _cnf_instance()
         h = _cnf_hashes(1)[0]
         oracle = NpOracle(formula)
-        for strategy, find_level in _STRATEGIES.items():
+        for start in (0, h.out_bits):
             engine = CellSearchEngine(formula, h, PARAMS.thresh, oracle)
-            find_level(engine)
+            find_level(engine, start)
             count0 = engine.cell_count(0)
             calls = oracle.calls
             assert engine.cell_count(0) == count0
-            assert oracle.calls == calls, strategy
+            assert oracle.calls == calls, start
 
 
 class TestHashedSession:

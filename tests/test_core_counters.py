@@ -13,7 +13,8 @@ from repro.baselines.karp_luby import (
     karp_luby_optimal_stopping,
 )
 from repro.common.stats import within_factor, within_relative_tolerance
-from repro.core.approxmc import approx_mc
+from repro.core.approxmc import approx_mc, find_level
+from repro.core.cell_search import cell_search_for
 from repro.core.est_count import approx_model_count_est, estimate_from_levels
 from repro.core.exact import exact_model_count
 from repro.core.fm_count import flajolet_martin_count
@@ -27,6 +28,7 @@ from repro.formulas.generators import (
     random_k_cnf,
 )
 from repro.hashing.toeplitz import ToeplitzHashFamily
+from repro.sat.oracle import NpOracle
 from repro.streaming.base import SketchParams
 
 # Test-scale constants: structure identical to the paper's, sketches ~4x
@@ -90,31 +92,58 @@ class TestApproxMc:
         result = approx_mc(cnf, PARAMS, random.Random(1))
         assert result.estimate == 0.0
 
-    def test_search_strategies_identical_sketches(self):
+    def test_sketches_are_threshold_crossings(self):
+        # Later repetitions start their level search next to repetition
+        # 0's level; each must still stop at the smallest level whose
+        # cell holds fewer than thresh models (Algorithm 5's answer).
         rng = random.Random(2)
         formula = fixed_count_dnf(12, 8)
         family = ToeplitzHashFamily(12, 12)
         hashes = [family.sample(rng) for _ in range(PARAMS.repetitions)]
-        results = {
-            strategy: approx_mc(formula, PARAMS, random.Random(3),
-                                search=strategy, hashes=hashes)
-            for strategy in ("linear", "binary", "galloping")
-        }
-        sketches = {s: r.iteration_sketches for s, r in results.items()}
-        assert sketches["linear"] == sketches["binary"]
-        assert sketches["linear"] == sketches["galloping"]
+        result = approx_mc(formula, PARAMS, random.Random(3), hashes=hashes)
+        models = list(formula.solutions_bruteforce())
+        for (count, level), h in zip(result.iteration_sketches, hashes):
+            sizes = [sum(1 for x in models if h.prefix_value(x, m) == 0)
+                     for m in range(h.out_bits + 1)]
+            assert count == min(PARAMS.thresh, sizes[level])
+            assert all(size >= PARAMS.thresh for size in sizes[:level])
+            assert count < PARAMS.thresh or level == h.out_bits
 
     def test_binary_search_uses_fewer_oracle_calls(self):
+        # Bisection over the levels (approx_mc's former binary search,
+        # kept here as a reference) beats Algorithm 5's climb from level
+        # 0 on every repetition, and finds the same crossing; approx_mc's
+        # seeded search must beat that climb too on the same hashes.
+        # It need not beat bisection: repetition 0 still climbs from
+        # level 0, and on this shallow crossing (level 4) the seeded
+        # repetitions save nothing over bisection to make up for it.
         formula = fixed_count_cnf(14, 10)
-        rng_a, rng_b = random.Random(4), random.Random(4)
-        linear = approx_mc(formula, PARAMS, rng_a, search="linear")
-        binary = approx_mc(formula, PARAMS, rng_b, search="binary")
-        assert binary.oracle_calls < linear.oracle_calls
+        family = ToeplitzHashFamily(14, 14)
+        rng = random.Random(4)
+        hashes = [family.sample(rng) for _ in range(PARAMS.repetitions)]
 
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(Exception):
-            approx_mc(fixed_count_dnf(4, 2), PARAMS, random.Random(0),
-                      search="quantum")
+        def bisect(cells):
+            lo, hi = 0, cells.out_bits
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cells.cell_count(mid) < cells.thresh:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return cells.cell_count(lo), lo
+
+        calls = {"linear": 0, "binary": 0}
+        for h in hashes:
+            found = {}
+            for name, search in (("linear", find_level), ("binary", bisect)):
+                oracle = NpOracle(formula)
+                found[name] = search(
+                    cell_search_for(formula, h, PARAMS.thresh, oracle))
+                calls[name] += oracle.calls
+            assert found["binary"] == found["linear"]
+        seeded = approx_mc(formula, PARAMS, random.Random(0), hashes=hashes)
+        assert calls["binary"] < calls["linear"]
+        assert seeded.oracle_calls < calls["linear"]
 
 
 class TestMinCount:

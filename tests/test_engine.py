@@ -16,13 +16,13 @@ Two pillars:
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 import pytest
 
 from repro.common.errors import InvalidParameterError
-from repro.core.approxmc import BucketingStrategy, approx_mc
+from repro.core.approxmc import approx_mc
 from repro.core.engine import CounterStrategy, RepetitionEngine, run_strategy
 from repro.core.est_count import approx_model_count_est
 from repro.core.fm_count import flajolet_martin_count
@@ -37,8 +37,11 @@ from repro.streaming.base import SketchParams
 # (commit 81830ac) with exactly these formulas and seeds:
 # (estimate, oracle_calls, sha256[:16] of
 #  repr((estimate, oracle_calls, raw_estimates, sketches))).
+# ``amc_cnf``'s oracle calls were re-recorded (198 -> 116) when
+# repetition 0's level started seeding the other repetitions' searches;
+# its estimate and sketches stay pinned by AMC_CNF_SKETCHES below.
 GOLDEN = {
-    "amc_cnf": (80.0, 198, "f595b76cbe6b3573"),
+    "amc_cnf": (80.0, 116, "0da0587c055766cf"),
     "amc_dnf": (64.0, 0, "fa6c3f7f37ea936d"),
     "min_cnf": (88.36082605444275, 4450, "19e034de34e59b78"),
     "min_dnf": (64.72162783443589, 0, "a3e478436b894abb"),
@@ -51,6 +54,10 @@ GOLDEN = {
     "min_dnf_wide": (98274634337.378, 0, "61d32a81f62dfce6"),
     "fm_dnf_wide": (137438953472.0, 0, "984ad08f28cc7f53"),
 }
+
+#: ``amc_cnf``'s per-repetition (count, level), as the pre-engine
+#: counter produced them.
+AMC_CNF_SKETCHES = [(8, 3), (13, 3), (12, 3), (9, 3), (10, 3)]
 
 PARAMS = SketchParams(eps=0.8, delta=0.3,
                       thresh_constant=12.0, repetitions_constant=4.0)
@@ -76,11 +83,10 @@ def _digest(result, sketches):
 
 def _run_counter(key, **kwargs):
     if key == "amc_cnf":
-        r = approx_mc(_cnf(), PARAMS, random.Random(7),
-                      search="galloping", **kwargs)
+        r = approx_mc(_cnf(), PARAMS, random.Random(7), **kwargs)
+        assert (r.estimate, r.iteration_sketches) == (80.0, AMC_CNF_SKETCHES)
     elif key == "amc_dnf":
-        r = approx_mc(_dnf(), PARAMS, random.Random(7),
-                      search="binary", **kwargs)
+        r = approx_mc(_dnf(), PARAMS, random.Random(7), **kwargs)
     elif key == "min_cnf":
         r = approx_model_count_min(_cnf(), PARAMS, random.Random(11),
                                    **kwargs)
@@ -159,6 +165,14 @@ class _ToyStrategy(CounterStrategy):
                                                   oracle_calls)
 
 
+@dataclass
+class _SeededToy(_ToyStrategy):
+    """Repetitions after the first charge repetition 0's value as calls."""
+
+    def seed_rest(self, first_sketch):
+        return replace(self, calls_per_rep=first_sketch[1])
+
+
 class TestEngineContract:
     def test_parent_side_sampling_is_serial_order(self):
         strategy = _ToyStrategy(repetitions=5)
@@ -182,10 +196,14 @@ class TestEngineContract:
                (parallel.estimate, parallel.raw_estimates,
                 parallel.iteration_sketches, parallel.oracle_calls)
 
+    def test_rest_runs_under_seed_rest_strategy(self, pool):
+        first = random.Random(5).getrandbits(8)
+        for executor in (None, pool):
+            result = run_strategy(_SeededToy(repetitions=6),
+                                  random.Random(5), executor=executor)
+            assert result.oracle_calls == 3 + 5 * first
+
     def test_strategies_validate_before_consuming_rng(self):
-        with pytest.raises(InvalidParameterError):
-            BucketingStrategy(formula=_cnf(), thresh=5, repetitions=2,
-                              search="bogus")
         strategy = MinimumStrategy(formula=_cnf(), thresh=5, repetitions=3,
                                    hashes=[])
         with pytest.raises(InvalidParameterError):

@@ -35,8 +35,9 @@ import numpy as np
 import pytest
 
 from repro.common.errors import InvalidParameterError
-from repro.core.approxmc import approx_mc
+from repro.core.approxmc import BucketingStrategy, approx_mc
 from repro.core.cell_search import cell_search_for
+from repro.core.engine import run_strategy
 from repro.core.est_count import approx_model_count_est
 from repro.core.fm_count import flajolet_martin_count
 from repro.core.min_count import approx_model_count_min
@@ -322,14 +323,30 @@ class TestParallelCounterEquivalence:
     @pytest.mark.parametrize("formula", [CNF, DNF], ids=["cnf", "dnf"])
     @pytest.mark.parametrize("search", ["linear", "galloping"])
     def test_approx_mc(self, formula, search, pool):
-        a = approx_mc(formula, COUNT_PARAMS, random.Random(7),
-                      search=search)
-        b = approx_mc(formula, COUNT_PARAMS, random.Random(7),
-                      search=search, executor=pool)
-        assert (a.estimate, a.raw_estimates, a.iteration_sketches,
-                a.oracle_calls) \
-            == (b.estimate, b.raw_estimates, b.iteration_sketches,
-                b.oracle_calls)
+        # Repetition 0's level seeds the others' searches, so oracle
+        # calls match only if every executor sees the same hint.  Where
+        # repetition 0 starts: ``linear`` climbs from level 0 (Algorithm
+        # 5, what approx_mc runs); ``galloping`` overshoots to level n
+        # and walks down.  Both must give approx_mc's sketches.
+        start = 0 if search == "linear" else formula.num_vars
+
+        def run(executor):
+            strategy = BucketingStrategy(
+                formula=formula, thresh=COUNT_PARAMS.thresh,
+                repetitions=COUNT_PARAMS.repetitions, start=start)
+            r = run_strategy(strategy, random.Random(7), executor=executor)
+            return (r.estimate, r.raw_estimates, r.iteration_sketches,
+                    r.oracle_calls)
+
+        serial = run(None)
+        with ThreadExecutor(2) as threads:
+            assert run(threads) == serial
+        assert run(pool) == serial
+        public = approx_mc(formula, COUNT_PARAMS, random.Random(7))
+        assert serial[:3] == (public.estimate, public.raw_estimates,
+                              public.iteration_sketches)
+        if search == "linear":
+            assert serial[3] == public.oracle_calls
 
     @pytest.mark.parametrize("formula", [CNF, DNF], ids=["cnf", "dnf"])
     def test_min_count(self, formula, pool):
